@@ -6,14 +6,20 @@ extraction, plus the order-based Performer/Recipient rule. Both models
 memorize surface forms through their lexical features, which is exactly
 the behavior the augmentation effects perturb, so gains are measurable
 without external model dependencies. Training is deterministic for a
-fixed (corpus, epochs, seed).
+fixed (corpus, epochs, seed). While training, every weight is a whole
+number, so each feature's row is packed into one int with a 64-bit field
+per class: scoring a decision is one big-int sum, and a mistake updates a
+row with one addition.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import add
 from random import Random
+from struct import Struct
 
 from .corpus import Corpus, Document, Mention, Relation
 from .edits import sentence_spans
@@ -72,26 +78,77 @@ def _gold_tags(d: Document, start: int, end: int, tag_index: dict[str, int]) -> 
     return tags
 
 
-def _scores(weights: dict[str, list[float]], feats, n: int) -> list[float]:
-    scores = [0.0] * n
-    for f in feats:
-        row = weights.get(f)
-        if row is not None:
-            for c in range(n):
-                scores[c] += row[c]
-    return scores
-
-
-def _argmax(scores) -> int:
-    best = 0
-    for c in range(1, len(scores)):
-        if scores[c] > scores[best]:
-            best = c
-    return best
+# A packed row holds, in bits 64c..64c+63, _BIAS plus the weight of class c.
+# Updates are +-1, so a weight never exceeds the number of training steps;
+# with fewer steps than _BIAS every field stays in (0, 2 * _BIAS), and sums
+# of up to 2**15 rows fit their fields, so no field borrows from or carries
+# into its neighbour. A present row adds _BIAS to every field alike, which
+# leaves the argmax unchanged.
+_FIELD_BITS = 64
+_BIAS = 1 << 48
 
 
 def _averaged(w, u, steps) -> dict[str, list[float]]:
     return {f: [w[f][c] - u[f][c] / steps for c in range(len(w[f]))] for f in sorted(w)}
+
+
+def _train(
+    prepared, n: int, epochs: int, seed: int, ptags: tuple[str, ...] | None = None
+) -> dict[str, list[float]]:
+    """Averaged perceptron over n classes. ``prepared`` is a list of
+    sequences of (features, gold class); the sequence order is shuffled
+    each epoch. With ``ptags`` (the tagger), each decision also sees
+    ``ptags[c]`` for the class c predicted just before it in its sequence,
+    or "ptag=<s>" at the start."""
+    steps = epochs * sum(map(len, prepared))
+    if steps >= _BIAS:
+        raise ValueError(f"{steps} training steps exceed the packed weight range ({_BIAS})")
+    unit = [1 << (_FIELD_BITS * c) for c in range(n)]
+    zero = _BIAS * sum(unit)
+    width = n * _FIELD_BITS // 8
+    unpack = Struct(f"<{n}Q").unpack  # little-endian bytes: class 0 first
+
+    rng = Random(seed)
+    w: dict[str, int] = {}
+    u: dict[str, list[float]] = {}
+    get = w.get
+    step = 0
+    order = list(range(len(prepared)))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for si in order:
+            prev = "ptag=<s>"
+            for feats, gold in prepared[si]:
+                if ptags is not None:
+                    feats = feats + (prev,)
+                scores = unpack(sum(filter(None, map(get, feats))).to_bytes(width, "little"))
+                pred = scores.index(max(scores))
+                step += 1
+                if pred != gold:
+                    delta = unit[gold] - unit[pred]
+                    for f in feats:
+                        w[f] = get(f, zero) + delta
+                        urow = u.setdefault(f, [0.0] * n)
+                        urow[gold] += step
+                        urow[pred] -= step
+                if ptags is not None:
+                    prev = ptags[pred]
+    unpacked = {f: [x - _BIAS for x in unpack(row.to_bytes(width, "little"))] for f, row in w.items()}
+    return _averaged(unpacked, u, max(step, 1))
+
+
+_add_rows = partial(map, add)
+
+
+def _predict(weights: dict[str, list[float]], feats) -> int:
+    """Highest-scoring class, ties to the lowest index. Each class score
+    adds the present rows one by one, in feature order (not with sum(),
+    whose compensated float sum on Python 3.12+ could move a near tie)."""
+    rows = list(filter(None, map(weights.get, feats)))
+    if not rows:
+        return 0
+    scores = list(reduce(_add_rows, rows))
+    return scores.index(max(scores))
 
 
 def train_tagger(train: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
@@ -103,46 +160,21 @@ def train_tagger(train: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
         raise ValueError("cannot train on an empty corpus")
     tags = _tag_set(train.mention_types)
     tag_index = {t: i for i, t in enumerate(tags)}
-    n = len(tags)
 
     prepared = []
     for d in train.documents:
         for _, s, e in sentence_spans(d):
             prepared.append(list(zip(_token_features(d, s, e), _gold_tags(d, s, e, tag_index))))
-
-    rng = Random(seed)
-    w: dict[str, list[float]] = {}
-    u: dict[str, list[float]] = {}
-    step = 0
-    order = list(range(len(prepared)))
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for si in order:
-            prev = "<s>"
-            for feats, gold in prepared[si]:
-                full = feats + (f"ptag={prev}",)
-                pred = _argmax(_scores(w, full, n))
-                step += 1
-                if pred != gold:
-                    for f in full:
-                        row = w.setdefault(f, [0.0] * n)
-                        urow = u.setdefault(f, [0.0] * n)
-                        row[gold] += 1.0
-                        urow[gold] += step
-                        row[pred] -= 1.0
-                        urow[pred] -= step
-                prev = tags[pred]
-    return TaggerModel(tags, _averaged(w, u, max(step, 1)))
+    ptags = tuple(f"ptag={t}" for t in tags)
+    return TaggerModel(tags, _train(prepared, len(tags), epochs, seed, ptags))
 
 
 def predict_tags(model: TaggerModel, d: Document) -> list[str]:
-    n = len(model.tags)
     out = []
     for _, s, e in sentence_spans(d):
         prev = "<s>"
         for feats in _token_features(d, s, e):
-            pred = _argmax(_scores(model.weights, feats + (f"ptag={prev}",), n))
-            tag = model.tags[pred]
+            tag = model.tags[_predict(model.weights, feats + (f"ptag={prev}",))]
             out.append(tag)
             prev = tag
     return out
@@ -239,46 +271,24 @@ def train_relations(
     # none first: an all-zero score ties toward predicting no relation
     classes = ("<none>",) + tuple(train.relation_types)
     class_index = {c: i for i, c in enumerate(classes)}
-    none = 0
-    n = len(classes)
 
     prepared = []
     for d in train.documents:
         gold = {(r.head, r.tail): class_index[r.type] for r in d.relations}
         for head, tail in _candidate_pairs(d, window):
-            label = gold.get((head.id, tail.id), none)
-            prepared.append((_pair_features(d, head, tail), label))
-
-    rng = Random(seed)
-    w: dict[str, list[float]] = {}
-    u: dict[str, list[float]] = {}
-    step = 0
-    order = list(range(len(prepared)))
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for pi in order:
-            feats, gold_label = prepared[pi]
-            pred = _argmax(_scores(w, feats, n))
-            step += 1
-            if pred != gold_label:
-                for f in feats:
-                    row = w.setdefault(f, [0.0] * n)
-                    urow = u.setdefault(f, [0.0] * n)
-                    row[gold_label] += 1.0
-                    urow[gold_label] += step
-                    row[pred] -= 1.0
-                    urow[pred] -= step
-    return RelModel(tuple(train.relation_types), window, _averaged(w, u, max(step, 1)))
+            label = gold.get((head.id, tail.id), 0)
+            prepared.append([(_pair_features(d, head, tail), label)])
+    weights = _train(prepared, len(classes), epochs, seed)
+    return RelModel(tuple(train.relation_types), window, weights)
 
 
 def predict_relations(model: RelModel, d: Document) -> list[Relation]:
     """Relations over the document's (given) mentions; requires mentions
     to be attached, gold or predicted."""
     classes = ("<none>",) + tuple(model.relation_types)
-    n = len(classes)
     out = []
     for head, tail in _candidate_pairs(d, model.window):
-        pred = _argmax(_scores(model.weights, _pair_features(d, head, tail), n))
+        pred = _predict(model.weights, _pair_features(d, head, tail))
         if pred != 0:
             out.append(Relation(f"r{len(out)}", classes[pred], head.id, tail.id))
     return out

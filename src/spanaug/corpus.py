@@ -110,12 +110,6 @@ class Corpus:
     mention_types: tuple[str, ...] = DEFAULT_MENTION_TYPES
     relation_types: tuple[str, ...] = DEFAULT_RELATION_TYPES
 
-    def document_by_id(self, doc_id: str) -> Document:
-        for d in self.documents:
-            if d.id == doc_id:
-                return d
-        raise KeyError(doc_id)
-
 
 def make_document(
     doc_id: str,

@@ -30,7 +30,7 @@ Remapping rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Sequence
 
 from .corpus import Document, Mention, Token
 
@@ -86,7 +86,7 @@ class MergeSentences:
     punctuation: frozenset[str] = MERGE_PUNCTUATION
 
 
-Edit = Union[InsertTokens, DeleteTokens, ReplaceSpan, SwapTokens, PermuteSentences, MergeSentences]
+Edit = InsertTokens | DeleteTokens | ReplaceSpan | SwapTokens | PermuteSentences | MergeSentences
 
 
 @dataclass(frozen=True)

@@ -79,10 +79,6 @@ def match_case(replacement: str, original: str) -> str:
     return replacement
 
 
-def coarse_pos(lex: Lexicon, text: str) -> str:
-    return lex.coarse_pos(text)
-
-
 def _read_lines(path: Path) -> list[tuple[int, str]]:
     out = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):

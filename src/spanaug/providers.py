@@ -23,6 +23,7 @@ import urllib.error
 import urllib.request
 from typing import Mapping, Sequence
 
+from .lexicon import match_case
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -84,12 +85,6 @@ class ParaphraseProvider:
         raise NotImplementedError
 
 
-def _match_word_case(replacement: str, original: str) -> str:
-    if original[:1].isupper() and replacement[:1].islower():
-        return replacement[0].upper() + replacement[1:]
-    return replacement
-
-
 class StubProvider(ParaphraseProvider):
     """Deterministic dictionary-based rewriter.
 
@@ -106,7 +101,7 @@ class StubProvider(ParaphraseProvider):
         if not options:
             return word
         pick = derive_seed(seed, pivot or "", pos[0], pos[1]) % len(options)
-        return _match_word_case(options[pick], word)
+        return match_case(options[pick], word)
 
     def rewrite(self, texts, mode, pivot=None, seed=0):
         if mode not in MODES:

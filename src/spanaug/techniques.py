@@ -607,7 +607,6 @@ class Technique:
     aliases: tuple[str, ...]
     space: ParamSpace
     fn: Callable
-    uses_provider: bool = False
     identity_params: Mapping[str, Any] = field(default_factory=dict)
 
 
@@ -720,14 +719,12 @@ TECHNIQUES: dict[str, Technique] = {
             ("B.8", "B.62", "back_translation"),
             _space(pivot=CatParam(("de", "fr", "es"), "de")),
             _paraphrase_spans,
-            uses_provider=True,
         ),
         Technique(
             "model_word_replacement",
             ("B.26", "B.106", "transformer_fill"),
             _space(p=_P(), in_mentions=CatParam((False, True), False)),
             _model_word_replacement,
-            uses_provider=True,
             identity_params={"p": 0.0},
         ),
     ]

@@ -1,7 +1,9 @@
 import dataclasses
+from random import Random
 
 import pytest
 
+from spanaug import baselines
 from spanaug.baselines import (
     RelModel,
     TaggerModel,
@@ -14,10 +16,15 @@ from spanaug.baselines import (
     train_relations,
     train_tagger,
 )
-from corpora import separable_relation_corpus, separable_tagger_corpus
+from corpora import (
+    fixture_corpus,
+    separable_relation_corpus,
+    separable_tagger_corpus,
+    synonym_class_corpus,
+)
 
-from spanaug.corpus import Corpus, Mention, make_document, validate_document
-from spanaug.edits import PermuteSentences, apply_edit
+from spanaug.corpus import Corpus, Mention, Relation, make_document, validate_document
+from spanaug.edits import PermuteSentences, apply_edit, sentence_spans
 
 
 def mention_keys(mentions):
@@ -241,3 +248,165 @@ def test_model_files_reject_wrong_format(tmp_path):
     )
     with pytest.raises(ValueError):
         load_tagger(tmp_path / "r.json")
+
+
+# --- packed training against the plain dict-of-lists perceptron ------------------
+
+
+def reference_argmax(weights, feats, n):
+    scores = [0.0] * n
+    for f in feats:
+        row = weights.get(f)
+        if row is not None:
+            for c in range(n):
+                scores[c] += row[c]
+    best = 0
+    for c in range(1, n):
+        if scores[c] > scores[best]:
+            best = c
+    return best
+
+
+def reference_train(prepared, n, epochs, seed, ptags=None):
+    """The averaged perceptron in its plain form, one float list per
+    feature row: the reference for the packed loop of baselines._train."""
+    rng = Random(seed)
+    w, u = {}, {}
+    step = 0
+    order = list(range(len(prepared)))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for si in order:
+            prev = "<s>"
+            for feats, gold in prepared[si]:
+                full = feats + (f"ptag={prev}",) if ptags else feats
+                pred = reference_argmax(w, full, n)
+                step += 1
+                if pred != gold:
+                    for f in full:
+                        row = w.setdefault(f, [0.0] * n)
+                        urow = u.setdefault(f, [0.0] * n)
+                        row[gold] += 1.0
+                        urow[gold] += step
+                        row[pred] -= 1.0
+                        urow[pred] -= step
+                if ptags:
+                    prev = ptags[pred]
+    steps = max(step, 1)
+    return {f: [w[f][c] - u[f][c] / steps for c in range(n)] for f in sorted(w)}
+
+
+def reference_tagger_weights(corpus, epochs, seed):
+    tags = baselines._tag_set(corpus.mention_types)
+    index = {t: i for i, t in enumerate(tags)}
+    prepared = [
+        list(zip(baselines._token_features(d, s, e), baselines._gold_tags(d, s, e, index)))
+        for d in corpus.documents
+        for _, s, e in sentence_spans(d)
+    ]
+    return reference_train(prepared, len(tags), epochs, seed, ptags=tags)
+
+
+def reference_relation_weights(corpus, epochs, seed, window=1):
+    classes = ("<none>",) + tuple(corpus.relation_types)
+    index = {c: i for i, c in enumerate(classes)}
+    prepared = []
+    for d in corpus.documents:
+        gold = {(r.head, r.tail): index[r.type] for r in d.relations}
+        for head, tail in baselines._candidate_pairs(d, window):
+            label = gold.get((head.id, tail.id), 0)
+            prepared.append([(baselines._pair_features(d, head, tail), label)])
+    return reference_train(prepared, len(classes), epochs, seed)
+
+
+def single_token_corpus():
+    docs = (
+        make_document("one", [("clerk", 0)], [Mention("a", "Actor", 0, 0)]),
+        make_document(
+            "two",
+            [("files", 0), ("clerk", 1), ("approves", 1)],
+            [Mention("v", "Activity", 0, 0), Mention("a", "Actor", 1, 1), Mention("w", "Activity", 2, 2)],
+            [Relation("f", "Flow", "v", "w"), Relation("p", "Actor Performer", "w", "a")],
+        ),
+    )
+    return Corpus(docs)
+
+
+def one_type_corpus():
+    corpus = separable_relation_corpus()
+    return Corpus(corpus.documents, mention_types=("Activity",), relation_types=("Flow",))
+
+
+ORACLE_CORPORA = {
+    "fixture": lambda: fixture_corpus(12),
+    "synonym": lambda: synonym_class_corpus(30),
+    "separable_tagger": separable_tagger_corpus,
+    "single_token_sentences": single_token_corpus,
+    "one_mention_type": one_type_corpus,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPORA))
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("epochs", [1, 5])
+def test_packed_training_equals_reference_perceptron(name, seed, epochs):
+    corpus = ORACLE_CORPORA[name]()
+    tagger = train_tagger(corpus, epochs=epochs, seed=seed)
+    assert tagger.weights == reference_tagger_weights(corpus, epochs, seed)
+    relations = train_relations(corpus, epochs=epochs, seed=seed)
+    assert relations.weights == reference_relation_weights(corpus, epochs, seed)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPORA))
+def test_predictions_equal_reference_scoring(name):
+    corpus = ORACLE_CORPORA[name]()
+    tagger = train_tagger(corpus, epochs=3, seed=2)
+    relations = train_relations(corpus, epochs=3, seed=2)
+    classes = ("<none>",) + tuple(corpus.relation_types)
+    for d in corpus.documents:
+        expected = []
+        for _, s, e in sentence_spans(d):
+            prev = "<s>"
+            for feats in baselines._token_features(d, s, e):
+                prev = tagger.tags[reference_argmax(tagger.weights, feats + (f"ptag={prev}",), len(tagger.tags))]
+                expected.append(prev)
+        assert predict_tags(tagger, d) == expected
+        pairs = [
+            (classes[c], head.id, tail.id)
+            for head, tail in baselines._candidate_pairs(d, relations.window)
+            if (c := reference_argmax(relations.weights, baselines._pair_features(d, head, tail), len(classes)))
+        ]
+        assert [(r.type, r.head, r.tail) for r in predict_relations(relations, d)] == pairs
+
+
+def test_packed_scores_tie_toward_class_zero():
+    # The second decision zeroes row "a", so the third sees a present row
+    # whose classes all tie: it must predict class 0, which leaves "a" at
+    # [-1, 0, 1] with accumulators [-2, -1, 3] after four steps (class 1
+    # would have left [0, -1, 1] and [1, -4, 3]).
+    prepared = [[(("a",), 1), (("a", "b"), 0), (("a",), 2), (("c",), 0)]]
+    weights = baselines._train(prepared, 3, epochs=1, seed=0)
+    assert weights == reference_train(prepared, 3, 1, 0)
+    assert weights["a"] == [-0.5, 0.25, 0.25]
+
+
+def test_predict_ties_toward_class_zero():
+    tags = ("O", "B-Actor", "I-Actor")
+    model = TaggerModel(tags, {"w=alpha": [2.0, 2.0, 2.0], "ptag=<s>": [0.5, 0.5, 0.5]})
+    doc = make_document("t", [("alpha", 0), ("beta", 0)])
+    assert predict_tags(model, doc) == ["O", "O"]
+    relations = RelModel(("Flow",), 1, {"order=HT": [1.0, 1.0]})
+    pair = make_document(
+        "p", [("a", 0), ("b", 0)], [Mention("x", "Activity", 0, 0), Mention("y", "Activity", 1, 1)]
+    )
+    assert predict_relations(relations, pair) == []
+
+
+def test_packed_field_guard(monkeypatch):
+    corpus = separable_tagger_corpus(n_docs=2)  # 10 tokens
+    monkeypatch.setattr(baselines, "_BIAS", 20)
+    with pytest.raises(ValueError, match="training steps"):
+        train_tagger(corpus, epochs=2, seed=0)  # 20 steps could reach the bias
+    # One more than the steps is enough: a weight of -20 leaves its field at 1.
+    monkeypatch.setattr(baselines, "_BIAS", 21)
+    assert train_tagger(corpus, epochs=2, seed=0).weights == reference_tagger_weights(corpus, 2, 0)

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from corpora import random_fixture_document
 
+import spanaug
 from spanaug.corpus import Document, Mention, Token, make_document, validate_document
 from spanaug.edits import (
     DeleteTokens,
@@ -311,3 +317,28 @@ def test_content_edit_maps_are_strictly_increasing():
         values = [new for _, new in pairs]
         assert values == sorted(values)
         assert len(values) == len(set(values))
+
+
+def test_reimporting_the_package_keeps_no_old_copy_alive():
+    # A module-level typing.Union alias is held by typing's cache, and
+    # through it every copy of the package ever imported.
+    script = textwrap.dedent(
+        """
+        import gc, importlib, sys
+        for _ in range(5):
+            for name in [m for m in sys.modules if m == "spanaug" or m.startswith("spanaug.")]:
+                del sys.modules[name]
+            importlib.import_module("spanaug")
+        gc.collect()
+        print(sum(
+            1 for o in gc.get_objects()
+            if isinstance(o, type) and o.__module__ == "spanaug.corpus" and o.__name__ == "Document"
+        ))
+        """
+    )
+    src = str(Path(spanaug.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.strip() == "1"
