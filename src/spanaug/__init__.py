@@ -37,7 +37,6 @@ from .providers import HTTPProvider, ParaphraseProvider, StubProvider, default_s
 from .stats import CorpusStats, StatsDelta, compare_stats, corpus_stats
 from .techniques import (
     TechniqueConfig,
-    augment,
     augment_corpus,
     list_techniques,
     origin_id,
@@ -72,7 +71,6 @@ __all__ = [
     "TrialRecord",
     "apply_edit",
     "apply_edits",
-    "augment",
     "augment_corpus",
     "builtin_lexicon",
     "compare_stats",

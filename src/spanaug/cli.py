@@ -36,7 +36,7 @@ from .techniques import (
     list_techniques,
     resolve_technique,
 )
-from .tpe import optimize, trials_csv
+from .tpe import best_trial, optimize, trials_csv
 
 
 class UsageError(Exception):
@@ -77,27 +77,35 @@ def _load_inputs(args):
     return corpus, lexicon, provider
 
 
-def _write_outputs(out_dir: Path, files: dict[str, bytes], manifest: dict) -> None:
-    """All content is built in memory first; nothing is written until every
-    output exists, so failures leave no partial files."""
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _write_outputs(args, files: dict[str, bytes]) -> None:
+    """Write a command's files plus its manifest. All content is built in
+    memory first; nothing is written until every output exists, so
+    failures leave no partial files."""
+    # workers is deliberately absent: it changes wall time, never outputs,
+    # so manifests stay byte-identical across worker counts
+    options = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "fn", "out", "workers")
+    }
+    manifest = {
+        "artifact": "spanaug",
+        "version": __version__,
+        "command": args.command,
+        "options": options,
+        "outputs": sorted(files),
+    }
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {"artifact": "spanaug", "version": __version__, **manifest}
-    manifest["outputs"] = sorted(files)
-    files = dict(files)
-    files["manifest.json"] = (
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    ).encode("utf-8")
-    for name, content in files.items():
+    for name, content in {**files, "manifest.json": _json_bytes(manifest)}.items():
         (out_dir / name).write_bytes(content)
 
 
-def _options_dict(args, keys) -> dict:
-    # workers is deliberately absent: it changes wall time, never outputs,
-    # so manifests stay byte-identical across worker counts
-    return {key: getattr(args, key) for key in keys}
-
-
-def cmd_augment(args) -> int:
+def cmd_augment(args) -> dict[str, bytes]:
     corpus, lexicon, provider = _load_inputs(args)
     config = _build_config(args.technique, _parse_params(args.params))
     synthetic = augment_corpus(
@@ -109,29 +117,13 @@ def cmd_augment(args) -> int:
     delta = compare_stats(
         corpus, Corpus(tuple(synthetic), corpus.mention_types, corpus.relation_types)
     )
-    files = {
+    return {
         "augmented.json": serialize_corpus(combined),
         "stats_delta.csv": f"{DELTA_CSV_HEADER}\n{delta_csv_row(args.technique, delta)}\n".encode(),
     }
-    manifest = {
-        "command": "augment",
-        "options": _options_dict(
-            args, ("corpus", "technique", "params", "seed", "provider", "lexicon")
-        ),
-    }
-    _write_outputs(Path(args.out), files, manifest)
-    return 0
 
 
-def _report_files(report) -> dict[str, bytes]:
-    obj = dataclasses.asdict(report)
-    return {
-        "gain_report.json": (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode(),
-        "gain_report.csv": "\n".join([GAIN_CSV_HEADER] + report.csv_rows() + [""]).encode(),
-    }
-
-
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> dict[str, bytes]:
     corpus, lexicon, provider = _load_inputs(args)
     config = (
         _build_config(args.technique, _parse_params(args.params)) if args.technique else None
@@ -149,32 +141,15 @@ def cmd_evaluate(args) -> int:
         provider=provider,
         workers=args.workers,
     )
-    manifest = {
-        "command": "evaluate",
-        "options": _options_dict(
-            args,
-            (
-                "corpus",
-                "technique",
-                "params",
-                "task",
-                "folds",
-                "epochs",
-                "window",
-                "seed",
-                "provider",
-                "lexicon",
-            ),
-        ),
+    return {
+        "gain_report.json": _json_bytes(dataclasses.asdict(report)),
+        "gain_report.csv": "\n".join([GAIN_CSV_HEADER] + report.csv_rows() + [""]).encode(),
     }
-    _write_outputs(Path(args.out), _report_files(report), manifest)
-    return 0
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> dict[str, bytes]:
     corpus, lexicon, provider = _load_inputs(args)
-    resolve_technique(args.technique)
-    best, history = optimize(
+    _, history = optimize(
         args.technique,
         corpus,
         args.task,
@@ -187,45 +162,22 @@ def cmd_optimize(args) -> int:
         provider=provider,
         workers=args.workers,
     )
-    best_record = max(
-        (t for t in history if t.status == "complete"),
-        key=lambda t: (t.objective, -t.trial_index),
-    )
+    best = best_trial(history)
     best_obj = {
-        "technique_id": best.technique_id,
+        "technique_id": best.config.technique_id,
         "task": args.task,
-        "params": dict(best.params),
-        "n_aug": best.n_aug,
-        "objective": best_record.objective,
-        "trial_index": best_record.trial_index,
+        "params": dict(best.config.params),
+        "n_aug": best.config.n_aug,
+        "objective": best.objective,
+        "trial_index": best.trial_index,
     }
-    files = {
+    return {
         "trials.csv": trials_csv(history, args.task).encode(),
-        "best_config.json": (json.dumps(best_obj, sort_keys=True, indent=2) + "\n").encode(),
+        "best_config.json": _json_bytes(best_obj),
     }
-    manifest = {
-        "command": "optimize",
-        "options": _options_dict(
-            args,
-            (
-                "corpus",
-                "technique",
-                "task",
-                "trials",
-                "folds",
-                "epochs",
-                "window",
-                "seed",
-                "provider",
-                "lexicon",
-            ),
-        ),
-    }
-    _write_outputs(Path(args.out), files, manifest)
-    return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict[str, bytes]:
     original = load_corpus(args.corpus)
     augmented = load_corpus(args.augmented)
     delta = compare_stats(original, augmented)
@@ -235,16 +187,10 @@ def cmd_analyze(args) -> int:
         stats_csv_row("augmented", corpus_stats(augmented)),
         "",
     ]
-    files = {
+    return {
         "stats.csv": "\n".join(stats_rows).encode(),
         "stats_delta.csv": f"{DELTA_CSV_HEADER}\n{delta_csv_row(args.technique, delta)}\n".encode(),
     }
-    manifest = {
-        "command": "analyze",
-        "options": _options_dict(args, ("corpus", "augmented", "technique")),
-    }
-    _write_outputs(Path(args.out), files, manifest)
-    return 0
 
 
 def _add_common(parser, *, seed: bool = True) -> None:
@@ -307,7 +253,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        _write_outputs(args, args.fn(args))
+        return 0
     except UnknownTechniqueError as e:
         print(
             f"error: unknown technique {e.args[0]!r}; known: {', '.join(list_techniques())}",

@@ -117,13 +117,17 @@ class GainReport:
 GAIN_CSV_HEADER = "technique_id,task,baseline_f1,augmented_f1,gain"
 
 
-def split_folds(n_documents: int, k: int, seed: int) -> list[list[int]]:
-    """Seeded shuffle then round-robin striding; every document lands in
-    exactly one fold and fold sizes differ by at most one."""
+def check_folds(n_documents: int, k: int) -> None:
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > n_documents:
         raise ValueError(f"cannot split {n_documents} documents into {k} folds")
+
+
+def split_folds(n_documents: int, k: int, seed: int) -> list[list[int]]:
+    """Seeded shuffle then round-robin striding; every document lands in
+    exactly one fold and fold sizes differ by at most one."""
+    check_folds(n_documents, k)
     order = list(range(n_documents))
     derive_rng(seed, "folds").shuffle(order)
     return [order[i::k] for i in range(k)]
@@ -191,60 +195,38 @@ def cross_validate(
         validate_config(technique)
 
     cache_key = ("baseline", k, seed, epochs, window, tuple(tasks))
-    baseline_folds: list[dict[str, float]] | None = (
-        baseline_cache.get(cache_key) if baseline_cache is not None else None
-    )
-    if baseline_folds is None:
-        baseline_folds = []
-        for fold_index, fold in enumerate(folds):
-            test_ids = set(fold)
-            train_docs = [d for i, d in enumerate(corpus.documents) if i not in test_ids]
-            test_docs = [corpus.documents[i] for i in fold]
-            baseline_folds.append(
-                _evaluate_arm(
-                    train_docs,
-                    test_docs,
-                    corpus,
-                    tasks,
-                    epochs,
-                    window,
-                    derive_seed(seed, "fold", fold_index),
-                )
-            )
-        if baseline_cache is not None:
-            baseline_cache[cache_key] = baseline_folds
+    cached = baseline_cache.get(cache_key) if baseline_cache is not None else None
+    baseline_folds: list[dict[str, float]] = []
+    augmented_folds: list[dict[str, float]] = []
+    for fold_index, fold in enumerate(folds):
+        test_ids = set(fold)
+        train_docs = [d for i, d in enumerate(corpus.documents) if i not in test_ids]
+        test_docs = [corpus.documents[i] for i in fold]
 
-    if technique is None:
-        augmented_folds = baseline_folds
-    else:
-        augmented_folds = []
-        for fold_index, fold in enumerate(folds):
-            test_ids = set(fold)
-            train_docs = [d for i, d in enumerate(corpus.documents) if i not in test_ids]
-            test_docs = [corpus.documents[i] for i in fold]
-            synthetic = augment_corpus(
-                train_docs,
-                technique,
-                derive_seed(seed, "augment", fold_index),
-                lexicon=lexicon,
-                provider=provider,
-                workers=workers,
-            )
-            train_ids = {d.id for d in train_docs}
-            leaked = [s.id for s in synthetic if origin_id(s.id) not in train_ids]
-            if leaked:
-                raise RuntimeError(f"synthetic documents not derived from the training fold: {leaked}")
-            augmented_folds.append(
-                _evaluate_arm(
-                    list(train_docs) + synthetic,
-                    test_docs,
-                    corpus,
-                    tasks,
-                    epochs,
-                    window,
-                    derive_seed(seed, "fold", fold_index),
-                )
-            )
+        def arm(train: list[Document]) -> dict[str, float]:
+            fold_seed = derive_seed(seed, "fold", fold_index)
+            return _evaluate_arm(train, test_docs, corpus, tasks, epochs, window, fold_seed)
+
+        baseline = cached[fold_index] if cached is not None else arm(train_docs)
+        baseline_folds.append(baseline)
+        if technique is None:
+            augmented_folds.append(baseline)
+            continue
+        synthetic = augment_corpus(
+            train_docs,
+            technique,
+            derive_seed(seed, "augment", fold_index),
+            lexicon=lexicon,
+            provider=provider,
+            workers=workers,
+        )
+        train_ids = {d.id for d in train_docs}
+        leaked = [s.id for s in synthetic if origin_id(s.id) not in train_ids]
+        if leaked:
+            raise RuntimeError(f"synthetic documents not derived from the training fold: {leaked}")
+        augmented_folds.append(arm(train_docs + synthetic))
+    if baseline_cache is not None:
+        baseline_cache[cache_key] = baseline_folds
 
     gains = {}
     for task in tasks:

@@ -63,8 +63,6 @@ class FloatParam:
     high: float
     default: float
 
-    kind = "float"
-
     def check(self, v) -> float:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"expected a number, got {v!r}")
@@ -82,8 +80,6 @@ class IntParam:
     high: int
     default: int
 
-    kind = "int"
-
     def check(self, v) -> int:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(f"expected an integer, got {v!r}")
@@ -99,8 +95,6 @@ class IntParam:
 class CatParam:
     choices: tuple
     default: Any
-
-    kind = "categorical"
 
     def check(self, v):
         if v not in self.choices:
@@ -135,9 +129,6 @@ class ParamSpace(dict):
     def sample_uniform(self, rng) -> dict[str, Any]:
         return {name: param.sample(rng) for name, param in self.items()}
 
-    def defaults(self) -> dict[str, Any]:
-        return {name: param.default for name, param in self.items()}
-
 
 @dataclass(frozen=True)
 class TechniqueConfig:
@@ -149,6 +140,8 @@ class TechniqueConfig:
     n_aug: int = 1
 
     def __post_init__(self):
+        if isinstance(self.n_aug, bool) or not isinstance(self.n_aug, int):
+            raise ConfigError(f"n_aug must be an integer, got {self.n_aug!r}")
         if self.n_aug < 1:
             raise ConfigError(f"n_aug must be >= 1, got {self.n_aug}")
 
@@ -333,28 +326,16 @@ def _synonym_insertion(d, params, rng, ctx):
 def _lexicon_substitution(d, params, rng, ctx):
     lex = ctx.lexicon
     mode = params["mode"]
-    if mode == "synonym":
-        sites = [
-            (i, lex.synonyms(t.text))
-            for i, t in enumerate(d.tokens)
-            if not lex.is_stopword(t.text) and lex.synonyms(t.text)
-        ]
-    elif mode == "adjective_antonym":
-        sites = [
-            (i, lex.antonyms(t.text, "ADJ"))
-            for i, t in enumerate(d.tokens)
-            if lex.coarse_pos(t.text) == "ADJ" and lex.antonyms(t.text, "ADJ")
-        ]
-    else:  # antonym_even
-        sites = [
-            (i, lex.antonyms(t.text))
-            for i, t in enumerate(d.tokens)
-            if lex.antonyms(t.text)
-        ]
-        if len(sites) < 2:
-            return d, False
 
-    if not sites:
+    def lookup(text: str) -> tuple[str, ...]:
+        if mode == "synonym":
+            return () if lex.is_stopword(text) else lex.synonyms(text)
+        if mode == "adjective_antonym":
+            return lex.antonyms(text, "ADJ") if lex.coarse_pos(text) == "ADJ" else ()
+        return lex.antonyms(text)  # antonym_even
+
+    sites = [(i, options) for i, t in enumerate(d.tokens) if (options := lookup(t.text))]
+    if len(sites) < (2 if mode == "antonym_even" else 1):
         return d, False
 
     if mode == "antonym_even":
@@ -392,16 +373,19 @@ def _auxiliary_negation_removal(d, params, rng, ctx):
 
 def _abbreviation_matches(d: Document, lex: Lexicon) -> list[tuple[int, int, tuple[str, ...]]]:
     mask = _mention_mask(d)
-    long_forms = [
-        (tuple(w.lower() for w in long.split()), short)
-        for long, short in sorted(lex.expansions.items())
-    ]
+    long_forms = sorted(
+        (
+            (tuple(w.lower() for w in long.split()), short)
+            for long, short in sorted(lex.expansions.items())
+        ),
+        key=lambda f: -len(f[0]),
+    )
     matches = []
     i = 0
     n = len(d.tokens)
     while i < n:
         hit = None
-        for form, short in sorted(long_forms, key=lambda f: -len(f[0])):
+        for form, short in long_forms:
             L = len(form)
             if L >= 2 and i + L <= n:
                 window = tuple(t.text.lower() for t in d.tokens[i : i + L])
@@ -768,28 +752,6 @@ def apply_technique(
     if not had_candidates:
         logger.debug("technique %s is a no-op on document %s", technique.name, d.id)
     return doc, not had_candidates
-
-
-def augment(
-    d: Document,
-    cfg: TechniqueConfig,
-    rng,
-    *,
-    lexicon: Lexicon | None = None,
-    provider: ParaphraseProvider | None = None,
-    donor: Sequence[Document] | None = None,
-) -> list[Document]:
-    """n_aug synthetic documents for one original; ids get an -augK suffix.
-
-    Every output passes validation with the relation multiset conserved;
-    an inapplicable document comes back as unchanged copies.
-    """
-    ctx = make_context(tuple(donor) if donor is not None else (d,), lexicon, provider)
-    out = []
-    for k in range(cfg.n_aug):
-        doc, _ = apply_technique(d, cfg, rng, ctx)
-        out.append(replace(doc, id=f"{d.id}-aug{k + 1}"))
-    return out
 
 
 def origin_id(doc_id: str) -> str:

@@ -19,7 +19,7 @@ from random import Random
 from typing import Any, Sequence
 
 from .corpus import Corpus
-from .evaluation import cross_validate
+from .evaluation import check_folds, cross_validate
 from .lexicon import Lexicon
 from .providers import ParaphraseProvider
 from .seeding import derive_seed
@@ -118,9 +118,7 @@ def _config_value(config: TechniqueConfig, name: str):
 
 
 def _build_density(param, values):
-    if isinstance(param, FloatParam):
-        return _NumericDensity([float(v) for v in values], param.low, param.high)
-    if isinstance(param, IntParam):
+    if isinstance(param, (FloatParam, IntParam)):
         return _NumericDensity([float(v) for v in values], param.low, param.high)
     if isinstance(param, CatParam):
         return _CategoricalDensity(values, param.choices)
@@ -188,9 +186,6 @@ def optimize(
     seed: int = 0,
     *,
     k: int = 5,
-    gamma: float = 0.25,
-    n_candidates: int = 24,
-    n_startup: int = 5,
     epochs: int = 5,
     window: int = 1,
     lexicon: Lexicon | None = None,
@@ -198,8 +193,8 @@ def optimize(
     workers: int = 1,
 ) -> tuple[TechniqueConfig, list[TrialRecord]]:
     """Sequential trials: suggest a config, measure its gain by k-fold
-    cross-validation, feed the result back. Returns the best config (the
-    earliest trial wins ties) and the full trial log.
+    cross-validation, feed the result back. Returns the config of
+    best_trial(history) and the full trial log.
 
     The unaugmented arm depends only on (corpus, folds, seed), so it is
     computed once and cached across all trials.
@@ -207,20 +202,19 @@ def optimize(
     technique = resolve_technique(technique_id)
     if task not in ("md", "re"):
         raise ValueError(f"task must be 'md' or 're', got {task!r}")
+    # Arguments that would fail every trial are usage errors, not trials.
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    check_folds(len(corpus.documents), k)
     rng = Random(derive_seed(seed, "tpe", technique.name, task))
     cv_seed = derive_seed(seed, "cv", technique.name, task)
     baseline_cache: dict = {}
 
     history: list[TrialRecord] = []
     for index in range(n_trials):
-        params = suggest(
-            technique.space,
-            history,
-            rng,
-            gamma=gamma,
-            n_candidates=n_candidates,
-            n_startup=n_startup,
-        )
+        params = suggest(technique.space, history, rng)
         n_aug = params.pop("n_aug")
         config = TechniqueConfig(technique.name, params, n_aug=n_aug)
         try:
@@ -242,16 +236,16 @@ def optimize(
         except Exception as e:  # a failed trial is recorded, not fatal
             logger.warning("trial %d failed: %s", index, e)
             history.append(TrialRecord(index, config, None, "failed"))
+    return best_trial(history).config, history
 
-    best = None
-    for record in history:
-        if record.status != "complete":
-            continue
-        if best is None or record.objective > best.objective:
-            best = record
-    if best is None:
+
+def best_trial(history: Sequence[TrialRecord]) -> TrialRecord:
+    """The completed trial with the highest objective; the earliest one
+    wins ties."""
+    complete = [t for t in history if t.status == "complete"]
+    if not complete:
         raise RuntimeError("all trials failed")
-    return best.config, history
+    return max(complete, key=lambda t: (t.objective, -t.trial_index))
 
 
 def trials_csv(history: Sequence[TrialRecord], task: str) -> str:

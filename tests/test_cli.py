@@ -50,6 +50,57 @@ def test_augment_identity_doubles_documents(tmp_path, corpus_file):
     assert sorted(manifest["outputs"]) == ["augmented.json", "stats_delta.csv"]
 
 
+MANIFEST_CASES = {
+    "augment": (
+        ["--technique", "random_token_swap", "--seed", "1", "--workers", "2"],
+        {"corpus", "technique", "params", "seed", "provider", "lexicon"},
+        ["augmented.json", "stats_delta.csv"],
+    ),
+    "evaluate": (
+        [
+            "--technique", "random_token_swap", "--folds", "2", "--epochs", "1",
+            "--seed", "1", "--workers", "2",
+        ],
+        {
+            "corpus", "technique", "params", "task", "folds", "epochs", "window",
+            "seed", "provider", "lexicon",
+        },
+        ["gain_report.csv", "gain_report.json"],
+    ),
+    "optimize": (
+        [
+            "--technique", "random_token_swap", "--task", "md", "--trials", "2",
+            "--folds", "2", "--epochs", "1", "--seed", "1", "--workers", "2",
+        ],
+        {
+            "corpus", "technique", "task", "trials", "folds", "epochs", "window",
+            "seed", "provider", "lexicon",
+        },
+        ["best_config.json", "trials.csv"],
+    ),
+    "analyze": (
+        ["--technique", "none"],  # --augmented is added by the test
+        {"corpus", "augmented", "technique"},
+        ["stats.csv", "stats_delta.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_CASES))
+def test_manifest_records_command_options_and_outputs(command, tmp_path, corpus_file):
+    argv, option_keys, outputs = MANIFEST_CASES[command]
+    if command == "analyze":
+        argv = argv + ["--augmented", str(corpus_file)]
+    out = tmp_path / command
+    code = main([command, "--corpus", str(corpus_file), "--out", str(out)] + argv)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert set(manifest["options"]) == option_keys
+    assert manifest["outputs"] == outputs
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
+
+
 def test_unknown_technique_exits_2(tmp_path, corpus_file, capsys):
     code = main(
         [
@@ -265,6 +316,51 @@ def test_bad_params_are_usage_errors(tmp_path, corpus_file, capsys):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "true", "1.5"])
+def test_non_integer_n_aug_is_usage_error(value, tmp_path, corpus_file, capsys):
+    code = main(
+        [
+            "augment",
+            "--corpus", str(corpus_file),
+            "--technique", "random_token_deletion",
+            "--params", f"n_aug={value}",
+            "--seed", "1",
+            "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 2
+    assert "n_aug" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--trials", "0", "n_trials must be >= 1"),
+        ("--epochs", "0", "epochs must be >= 1"),
+        ("--folds", "1", "k must be >= 2"),
+        ("--folds", "9", "cannot split 8 documents into 9 folds"),
+    ],
+)
+def test_optimize_rejects_arguments_that_fail_every_trial(
+    flag, value, message, tmp_path, corpus_file, capsys
+):
+    code = main(
+        [
+            "optimize",
+            "--corpus", str(corpus_file),
+            "--technique", "random_token_swap",
+            "--task", "md",
+            "--seed", "1",
+            "--out", str(tmp_path / "x"),
+            flag, value,
+        ]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_custom_lexicon_directory(tmp_path, corpus_file):

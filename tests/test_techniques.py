@@ -23,7 +23,6 @@ from spanaug.techniques import (
     TechniqueConfig,
     UnknownTechniqueError,
     apply_technique,
-    augment,
     augment_corpus,
     make_context,
     origin_id,
@@ -74,7 +73,7 @@ def one_word_lexicon():
 def test_identity_configuration_reproduces_input(name, d1):
     technique = TECHNIQUES[name]
     cfg = TechniqueConfig(name, dict(technique.identity_params))
-    out = augment(d1, cfg, Random(3), provider=identity_stub())
+    out = augment_corpus([d1], cfg, 3, provider=identity_stub())
     assert len(out) == 1
     assert out[0].id == "D1-aug1"
     restored = dataclasses.replace(out[0], id=d1.id)
@@ -513,7 +512,7 @@ def test_model_replacement_deterministic(d1):
 
 def test_unknown_technique_rejected(d1):
     with pytest.raises(UnknownTechniqueError):
-        augment(d1, TechniqueConfig("no_such_thing", {}), Random(0))
+        augment_corpus([d1], TechniqueConfig("no_such_thing", {}), 0)
 
 
 def test_alias_lookup():
@@ -532,7 +531,9 @@ def test_out_of_range_params_rejected(d1):
 
 
 def test_n_aug_produces_suffixed_documents(d1):
-    out = augment(d1, TechniqueConfig("random_token_insertion", {"n": 1}, n_aug=3), Random(2))
+    out = augment_corpus(
+        [d1], TechniqueConfig("random_token_insertion", {"n": 1}, n_aug=3), 2
+    )
     assert [doc.id for doc in out] == ["D1-aug1", "D1-aug2", "D1-aug3"]
     for doc in out:
         assert origin_id(doc.id) == "D1"

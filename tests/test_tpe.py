@@ -4,7 +4,7 @@ import pytest
 
 from spanaug.evaluation import TaskGain
 from spanaug.techniques import CatParam, FloatParam, IntParam, ParamSpace, TechniqueConfig
-from spanaug.tpe import TrialRecord, optimize, suggest, trials_csv
+from spanaug.tpe import TrialRecord, best_trial, optimize, suggest, trials_csv
 
 
 def float_space():
@@ -170,6 +170,20 @@ def fake_cross_validate(objective):
         return report
 
     return fake
+
+
+def test_best_trial_takes_highest_objective_and_earliest_on_ties():
+    history = [
+        record(0, {"x": 0.1}, 0.2),
+        record(1, {"x": 0.2}, None, "failed"),
+        record(2, {"x": 0.3}, 0.5),
+        record(3, {"x": 0.4}, 0.5),
+    ]
+    assert best_trial(history) is history[2]
+    with pytest.raises(RuntimeError, match="all trials failed"):
+        best_trial(history[1:2])
+    with pytest.raises(RuntimeError, match="all trials failed"):
+        best_trial([])
 
 
 def test_optimize_single_trial_returns_it(monkeypatch, corpus20):
