@@ -9,7 +9,9 @@ Remapping rules:
 
 * InsertTokens at position p shifts spans at >= p right; an insertion
   strictly inside a mention (start < p <= end) extends that mention, an
-  insertion at either boundary does not.
+  insertion at either boundary does not. Inserted tokens join the sentence
+  of the token at p, or the last sentence when p is the end of the
+  document.
 * DeleteTokens shifts later spans left. Deleting a strict subset of a
   mention's tokens shrinks it; an edit that would delete every token of
   some mention is rejected whole.
@@ -23,8 +25,11 @@ Remapping rules:
 * PermuteSentences reorders whole sentences and renumbers them 0..n-1;
   within a sentence relative token order is preserved.
 * MergeSentences joins sentence k+1 onto sentence k, deleting the
-  sentence-final token of k when its text is in the punctuation set and it
+  sentence-final token of k when its text is in MERGE_PUNCTUATION and it
   lies outside all mentions.
+
+Each edit returns a RemapReport naming the mentions it shrank and, if it
+was rejected, why; apply_edits concatenates these in edit order.
 """
 
 from __future__ import annotations
@@ -36,11 +41,6 @@ from .corpus import Document, Mention, Token
 
 MERGE_PUNCTUATION = frozenset({".", "!", "?", ";"})
 
-# Sentence index of inserted tokens: "right" adopts the sentence of the
-# token at the insertion position, "left" the one before it. Either policy
-# falls back to the other at a document edge.
-SENTENCE_POLICIES = ("right", "left")
-
 
 class EditError(ValueError):
     """Edit with out-of-range indices or malformed fields (caller bug)."""
@@ -50,7 +50,6 @@ class EditError(ValueError):
 class InsertTokens:
     position: int
     texts: tuple[str, ...]
-    sentence_policy: str = "right"
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,6 @@ class MergeSentences:
     # Position of the first sentence of the merged pair, counted over the
     # document's distinct sentences in appearance order.
     first: int
-    punctuation: frozenset[str] = MERGE_PUNCTUATION
 
 
 Edit = InsertTokens | DeleteTokens | ReplaceSpan | SwapTokens | PermuteSentences | MergeSentences
@@ -97,16 +95,19 @@ class RejectedEdit:
 
 @dataclass(frozen=True)
 class RemapReport:
-    """Old token index -> new token index for surviving tokens, plus which
-    mentions shrank and which edits were rejected."""
+    """Ids of the mentions that lost tokens, and the edits rejected with
+    their reasons, in edit order. An edit that is applied whole and shrinks
+    nothing reports neither."""
 
-    index_map: dict[int, int]
     mentions_shrunk: tuple[str, ...] = ()
     rejected: tuple[RejectedEdit, ...] = ()
 
 
-def _identity_report(d: Document, rejected: tuple[RejectedEdit, ...] = ()) -> RemapReport:
-    return RemapReport({i: i for i in range(len(d.tokens))}, (), rejected)
+_CLEAN = RemapReport()
+
+
+def _rejected(d: Document, e: Edit, reason: str) -> tuple[Document, RemapReport]:
+    return d, RemapReport(rejected=(RejectedEdit(e, reason),))
 
 
 def _check_texts(texts: Sequence[str]) -> tuple[str, ...]:
@@ -155,20 +156,13 @@ def _insert(d: Document, e: InsertTokens) -> tuple[Document, RemapReport]:
     n = len(d.tokens)
     if not 0 <= e.position <= n:
         raise EditError(f"insert position {e.position} out of range 0..{n}")
-    if e.sentence_policy not in SENTENCE_POLICIES:
-        raise EditError(f"unknown sentence_policy {e.sentence_policy!r}")
     texts = _check_texts(e.texts)
     if not texts:
-        return d, _identity_report(d)
+        return d, _CLEAN
     k = len(texts)
     p = e.position
 
-    if n == 0:
-        sentence = 0
-    elif e.sentence_policy == "right":
-        sentence = d.tokens[p].sentence if p < n else d.tokens[n - 1].sentence
-    else:
-        sentence = d.tokens[p - 1].sentence if p > 0 else d.tokens[0].sentence
+    sentence = d.tokens[min(p, n - 1)].sentence if n else 0
 
     tokens = d.tokens[:p] + tuple(Token(t, sentence) for t in texts) + d.tokens[p:]
     mentions = []
@@ -179,8 +173,7 @@ def _insert(d: Document, e: InsertTokens) -> tuple[Document, RemapReport]:
             mentions.append(replace(m, end=m.end + k))
         else:
             mentions.append(m)
-    index_map = {i: (i if i < p else i + k) for i in range(n)}
-    return Document(d.id, tokens, tuple(mentions), d.relations), RemapReport(index_map)
+    return Document(d.id, tokens, tuple(mentions), d.relations), _CLEAN
 
 
 def _delete(d: Document, e: DeleteTokens) -> tuple[Document, RemapReport]:
@@ -190,13 +183,12 @@ def _delete(d: Document, e: DeleteTokens) -> tuple[Document, RemapReport]:
         if not 0 <= p < n:
             raise EditError(f"delete position {p} out of range 0..{n - 1}")
     if not positions:
-        return d, _identity_report(d)
+        return d, _CLEAN
 
     for m in d.mentions:
         span = set(range(m.start, m.end + 1))
         if span <= positions:
-            rej = RejectedEdit(e, f"would delete every token of mention {m.id}")
-            return d, _identity_report(d, (rej,))
+            return _rejected(d, e, f"would delete every token of mention {m.id}")
 
     index_map: dict[int, int] = {}
     new = 0
@@ -213,7 +205,7 @@ def _delete(d: Document, e: DeleteTokens) -> tuple[Document, RemapReport]:
             shrunk.append(m.id)
         mentions.append(replace(m, start=index_map[survivors[0]], end=index_map[survivors[-1]]))
     doc = Document(d.id, tokens, tuple(mentions), d.relations)
-    return doc, RemapReport(index_map, tuple(shrunk))
+    return doc, RemapReport(tuple(shrunk))
 
 
 def _replace_span(d: Document, e: ReplaceSpan) -> tuple[Document, RemapReport]:
@@ -230,12 +222,10 @@ def _replace_span(d: Document, e: ReplaceSpan) -> tuple[Document, RemapReport]:
         straddles_left = m.start < e.start <= m.end < e.end
         straddles_right = e.start < m.start <= e.end < m.end
         if straddles_left or straddles_right:
-            rej = RejectedEdit(e, f"replacement straddles a boundary of mention {m.id}")
-            return d, _identity_report(d, (rej,))
+            return _rejected(d, e, f"replacement straddles a boundary of mention {m.id}")
         swallowed = e.start <= m.start and m.end <= e.end and not (m.start <= e.start and e.end <= m.end)
         if swallowed:
-            rej = RejectedEdit(e, f"replacement would swallow mention {m.id}")
-            return d, _identity_report(d, (rej,))
+            return _rejected(d, e, f"replacement would swallow mention {m.id}")
 
     sentences = {t.sentence for t in d.tokens[e.start : e.end + 1]}
     if len(sentences) == 1:
@@ -246,8 +236,7 @@ def _replace_span(d: Document, e: ReplaceSpan) -> tuple[Document, RemapReport]:
             Token(t, d.tokens[e.start + i].sentence) for i, t in enumerate(texts)
         )
     else:
-        rej = RejectedEdit(e, "length-changing replacement across a sentence boundary")
-        return d, _identity_report(d, (rej,))
+        return _rejected(d, e, "length-changing replacement across a sentence boundary")
 
     tokens = d.tokens[: e.start] + new_tokens + d.tokens[e.end + 1 :]
     mentions = []
@@ -261,11 +250,8 @@ def _replace_span(d: Document, e: ReplaceSpan) -> tuple[Document, RemapReport]:
             mentions.append(replace(m, end=m.end + delta))
         else:  # entirely after the replaced span
             mentions.append(replace(m, start=m.start + delta, end=m.end + delta))
-    # Replaced tokens disappear from the map; the replacement has no old index.
-    index_map = {i: i for i in range(e.start)}
-    index_map.update({i: i + delta for i in range(e.end + 1, n)})
     doc = Document(d.id, tokens, tuple(mentions), d.relations)
-    return doc, RemapReport(index_map, tuple(shrunk))
+    return doc, RemapReport(tuple(shrunk))
 
 
 def _swap(d: Document, e: SwapTokens) -> tuple[Document, RemapReport]:
@@ -274,16 +260,15 @@ def _swap(d: Document, e: SwapTokens) -> tuple[Document, RemapReport]:
         if not 0 <= p < n:
             raise EditError(f"swap position {p} out of range 0..{n - 1}")
     if e.i == e.j:
-        return d, _identity_report(d)
+        return d, _CLEAN
     mi, mj = mention_owner(d, e.i), mention_owner(d, e.j)
     if mi is not mj:
-        rej = RejectedEdit(e, "tokens belong to different mention/non-mention regions")
-        return d, _identity_report(d, (rej,))
+        return _rejected(d, e, "tokens belong to different mention/non-mention regions")
     tokens = list(d.tokens)
     ti, tj = tokens[e.i], tokens[e.j]
     tokens[e.i] = Token(tj.text, ti.sentence)
     tokens[e.j] = Token(ti.text, tj.sentence)
-    return Document(d.id, tuple(tokens), d.mentions, d.relations), _identity_report(d)
+    return Document(d.id, tuple(tokens), d.mentions, d.relations), _CLEAN
 
 
 def _permute(d: Document, e: PermuteSentences) -> tuple[Document, RemapReport]:
@@ -302,8 +287,7 @@ def _permute(d: Document, e: PermuteSentences) -> tuple[Document, RemapReport]:
     mentions = tuple(
         replace(m, start=index_map[m.start], end=index_map[m.end]) for m in d.mentions
     )
-    doc = Document(d.id, tuple(tokens), mentions, d.relations)
-    return doc, RemapReport(index_map)
+    return Document(d.id, tuple(tokens), mentions, d.relations), _CLEAN
 
 
 def _merge(d: Document, e: MergeSentences) -> tuple[Document, RemapReport]:
@@ -316,18 +300,16 @@ def _merge(d: Document, e: MergeSentences) -> tuple[Document, RemapReport]:
     second_value, second_start, second_end = spans[e.first + 1]
 
     doc = d
-    report = _identity_report(d)
     last = d.tokens[first_end]
-    if last.text in e.punctuation and mention_owner(d, first_end) is None:
-        doc, report = _delete(d, DeleteTokens(frozenset({first_end})))
+    if last.text in MERGE_PUNCTUATION and mention_owner(d, first_end) is None:
+        doc, _ = _delete(d, DeleteTokens(frozenset({first_end})))  # a free token: nothing shrinks
         second_start -= 1
         second_end -= 1
 
     tokens = list(doc.tokens)
     for i in range(second_start, second_end + 1):
         tokens[i] = Token(tokens[i].text, first_value)
-    doc = Document(doc.id, tuple(tokens), doc.mentions, doc.relations)
-    return doc, report
+    return Document(doc.id, tuple(tokens), doc.mentions, doc.relations), _CLEAN
 
 
 _APPLIERS = {
@@ -351,25 +333,14 @@ def apply_edit(d: Document, e: Edit) -> tuple[Document, RemapReport]:
     return applier(d, e)
 
 
-def _compose(first: RemapReport, second: RemapReport) -> RemapReport:
-    index_map = {
-        old: second.index_map[mid]
-        for old, mid in first.index_map.items()
-        if mid in second.index_map
-    }
-    return RemapReport(
-        index_map,
-        first.mentions_shrunk + second.mentions_shrunk,
-        first.rejected + second.rejected,
-    )
-
-
 def apply_edits(d: Document, edits: Sequence[Edit]) -> tuple[Document, RemapReport]:
     """Fold apply_edit left to right; each edit's indices address the
     document produced by the previous one. Rejected edits are skipped."""
-    report = _identity_report(d)
+    shrunk: tuple[str, ...] = ()
+    rejected: tuple[RejectedEdit, ...] = ()
     doc = d
     for e in edits:
         doc, step = apply_edit(doc, e)
-        report = _compose(report, step)
-    return doc, report
+        shrunk += step.mentions_shrunk
+        rejected += step.rejected
+    return doc, RemapReport(shrunk, rejected)

@@ -46,11 +46,9 @@ def corpus_stats(c: Corpus) -> CorpusStats:
         for m in d.mentions:
             mentions += 1
             length_total += m.length
-        by_id = {m.id: m for m in d.mentions}
-        for r in d.relations:
+        for _, head_first in _head_first(d):
             relations += 1
-            if by_id[r.head].start < by_id[r.tail].start:
-                forward += 1
+            forward += head_first
     return CorpusStats(
         vocabulary_size=len(vocabulary),
         mean_mention_length=length_total / mentions if mentions else 0.0,
@@ -65,9 +63,11 @@ def _ratio(before: float, after: float) -> float | None:
     return after / before if before else None
 
 
-def _direction_sign(d, relation) -> int:
-    by_id = {m.id: m for m in d.mentions}
-    return 1 if by_id[relation.head].start < by_id[relation.tail].start else -1
+def _head_first(d) -> list[tuple[str, bool]]:
+    """(relation id, whether its head mention starts before its tail) for
+    every relation of d, in order."""
+    start = {m.id: m.start for m in d.mentions}
+    return [(r.id, start[r.head] < start[r.tail]) for r in d.relations]
 
 
 def compare_stats(original: Corpus, augmented: Corpus) -> StatsDelta:
@@ -79,18 +79,17 @@ def compare_stats(original: Corpus, augmented: Corpus) -> StatsDelta:
     before = corpus_stats(original)
     after = corpus_stats(augmented)
 
-    originals_by_id = {d.id: d for d in original.documents}
+    source_head_first = {d.id: dict(_head_first(d)) for d in original.documents}
     matched = unmatched = flipped = 0
     for doc in augmented.documents:
-        source = originals_by_id.get(origin_id(doc.id))
-        source_relations = {r.id: r for r in source.relations} if source else {}
-        for r in doc.relations:
-            counterpart = source_relations.get(r.id)
+        source = source_head_first.get(origin_id(doc.id), {})
+        for relation_id, head_first in _head_first(doc):
+            counterpart = source.get(relation_id)
             if counterpart is None:
                 unmatched += 1
                 continue
             matched += 1
-            if _direction_sign(doc, r) != _direction_sign(source, counterpart):
+            if head_first != counterpart:
                 flipped += 1
 
     return StatsDelta(

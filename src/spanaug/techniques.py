@@ -464,17 +464,32 @@ def _sentence_reordering(d, params, rng, ctx):
     if rng.random() >= params["p"]:
         return d, True
     identity = list(range(n))
-    max_disp = params["max_displacement"]
-    for _ in range(200):
-        order = identity[:]
+    order = identity
+    while order == identity:
+        order = _bounded_order(n, params["max_displacement"], rng)
+    doc, _ = apply_edit(d, PermuteSentences(tuple(order)))
+    return doc, True
+
+
+def _bounded_order(n, max_disp, rng):
+    """A random order of n sentences that moves none by more than max_disp
+    positions; 0 means no bound. Position k takes sentence k - max_disp
+    while it is unused, since no later position may; otherwise it draws
+    uniformly among the unused sentences within max_disp of k, of which
+    there is always one."""
+    order = list(range(n))
+    if not max_disp:
         rng.shuffle(order)
-        if order == identity:
-            continue
-        if max_disp and any(abs(new - old) > max_disp for new, old in enumerate(order)):
-            continue
-        doc, _ = apply_edit(d, PermuteSentences(tuple(order)))
-        return doc, True
-    return d, True
+        return order
+    unused = set(order)
+    for k in range(n):
+        if k - max_disp in unused:
+            j = k - max_disp
+        else:
+            j = rng.choice([j for j in range(k - max_disp + 1, k + max_disp + 1) if j in unused])
+        order[k] = j
+        unused.remove(j)
+    return order
 
 
 def _sentence_concatenation(d, params, rng, ctx):

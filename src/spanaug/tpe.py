@@ -21,10 +21,11 @@ from typing import Any, Sequence
 from .corpus import Corpus
 from .evaluation import check_folds, cross_validate
 from .lexicon import Lexicon
-from .providers import ParaphraseProvider
+from .providers import ParaphraseProvider, ProviderError
 from .seeding import derive_seed
 from .techniques import (
     CatParam,
+    ConfigError,
     FloatParam,
     IntParam,
     ParamSpace,
@@ -233,7 +234,7 @@ def optimize(
             )
             objective = report.tasks[task].gain
             history.append(TrialRecord(index, config, objective, "complete"))
-        except Exception as e:  # a failed trial is recorded, not fatal
+        except (ProviderError, ConfigError) as e:  # a failed trial is recorded, not fatal
             logger.warning("trial %d failed: %s", index, e)
             history.append(TrialRecord(index, config, None, "failed"))
     return best_trial(history).config, history

@@ -17,6 +17,7 @@ from spanaug.edits import (
     InsertTokens,
     MergeSentences,
     PermuteSentences,
+    RemapReport,
     ReplaceSpan,
     SwapTokens,
     apply_edit,
@@ -80,10 +81,10 @@ def test_insert_at_boundary_does_not_extend(d1):
 
 def test_insert_sentence_policy():
     doc = make_document("s", [("One", 0), (".", 0), ("Two", 1), (".", 1)])
-    right, _ = apply_edit(doc, InsertTokens(2, ("new",), "right"))
-    left, _ = apply_edit(doc, InsertTokens(2, ("new",), "left"))
-    assert right.tokens[2].sentence == 1
-    assert left.tokens[2].sentence == 0
+    inside, _ = apply_edit(doc, InsertTokens(2, ("new",)))
+    at_end, _ = apply_edit(doc, InsertTokens(4, ("new",)))
+    assert inside.tokens[2].sentence == 1  # the sentence of the token at the position
+    assert at_end.tokens[4].sentence == 1  # the last sentence
 
 
 def test_replace_inside_mention_keeps_coverage(d1):
@@ -207,7 +208,7 @@ def test_edit_token_texts_are_checked(d1):
 def test_empty_edit_list_is_identity(d1):
     doc, report = apply_edits(d1, [])
     assert doc == d1
-    assert report.index_map == {i: i for i in range(10)}
+    assert report == RemapReport()
 
 
 def test_sequential_deletes_fold_left_to_right(d1):
@@ -219,13 +220,6 @@ def test_sequential_deletes_fold_left_to_right(d1):
     assert report.mentions_shrunk == ("M1",)
     assert report.rejected == ()
     assert relation_multiset(doc) == relation_multiset(d1)
-
-
-def test_index_map_composes_across_edits(d1):
-    _, report = apply_edits(d1, [DeleteTokens(frozenset({0})), InsertTokens(0, ("x", "y"))])
-    assert report.index_map[1] == 2
-    assert report.index_map[9] == 10
-    assert 0 not in report.index_map
 
 
 # --- free spans --------------------------------------------------------------
@@ -262,7 +256,7 @@ def random_edit(rng: Random, doc: Document):
     kind = rng.choice(["insert", "delete", "replace", "swap", "permute", "merge"])
     if kind == "insert":
         texts = tuple(rng.choice(WORDS) for _ in range(rng.randint(1, 3)))
-        return InsertTokens(rng.randint(0, n), texts, rng.choice(("left", "right")))
+        return InsertTokens(rng.randint(0, n), texts)
     if kind == "delete":
         count = rng.randint(1, min(3, n))
         return DeleteTokens(frozenset(rng.sample(range(n), count)))
@@ -298,25 +292,13 @@ def test_random_edit_lists_preserve_validity():
         assert validate_document(result) == []
         assert len(result.mentions) == len(original.mentions)
         assert relation_multiset(result) == relation_multiset(original)
-        # surviving indices remain unique
-        mapped = list(report.index_map.values())
-        assert len(mapped) == len(set(mapped))
-
-
-def test_content_edit_maps_are_strictly_increasing():
-    rng = Random(123)
-    for i in range(60):
-        doc = random_fixture_document(f"m{i}", rng)
-        kind = rng.choice(["insert", "delete", "replace"])
-        while True:
-            edit = random_edit(rng, doc)
-            if type(edit).__name__.lower().startswith(kind[:3]):
-                break
-        _, report = apply_edit(doc, edit)
-        pairs = sorted(report.index_map.items())
-        values = [new for _, new in pairs]
-        assert values == sorted(values)
-        assert len(values) == len(set(values))
+        # the list's report is the per-edit reports concatenated in order
+        shrunk, rejected, doc = [], [], original
+        for e in edits:
+            doc, step = apply_edit(doc, e)
+            shrunk += step.mentions_shrunk
+            rejected += step.rejected
+        assert (doc, report) == (result, RemapReport(tuple(shrunk), tuple(rejected)))
 
 
 def test_reimporting_the_package_keeps_no_old_copy_alive():

@@ -404,6 +404,16 @@ def test_reordering_respects_max_displacement():
         assert all(abs(new - old) <= 1 for new, old in enumerate(positions))
 
 
+@pytest.mark.parametrize("max_displacement", [1, 2, 3])
+def test_bounded_reordering_always_moves_a_sentence(max_displacement):
+    doc = make_document("ten", [(f"s{k}", k) for k in range(10)])
+    for seed in range(50):
+        out, _ = run(doc, "sentence_reordering", {"p": 1.0, "max_displacement": max_displacement}, seed=seed)
+        order = [int(t.text[1:]) for t in out.tokens]
+        assert order != list(range(10))
+        assert all(abs(new - old) <= max_displacement for new, old in enumerate(order))
+
+
 # --- sentence concatenation ------------------------------------------------------------
 
 

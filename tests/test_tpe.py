@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from spanaug.evaluation import TaskGain
+from spanaug.providers import ProviderError
 from spanaug.techniques import CatParam, FloatParam, IntParam, ParamSpace, TechniqueConfig
 from spanaug.tpe import TrialRecord, best_trial, optimize, suggest, trials_csv
 
@@ -216,7 +217,7 @@ def test_optimize_records_failures_and_continues(monkeypatch, corpus20):
     def flaky(config):
         calls["n"] += 1
         if calls["n"] % 2:
-            raise RuntimeError("boom")
+            raise ProviderError("boom")
         return float(calls["n"])
 
     monkeypatch.setattr("spanaug.tpe.cross_validate", fake_cross_validate(flaky))
@@ -229,10 +230,19 @@ def test_optimize_records_failures_and_continues(monkeypatch, corpus20):
 
 def test_optimize_raises_when_everything_fails(monkeypatch, corpus20):
     def always_fail(config):
-        raise RuntimeError("nope")
+        raise ProviderError("nope")
 
     monkeypatch.setattr("spanaug.tpe.cross_validate", fake_cross_validate(always_fail))
     with pytest.raises(RuntimeError, match="all trials failed"):
+        optimize("random_token_deletion", corpus20, "md", n_trials=3, seed=3)
+
+
+def test_optimize_lets_a_programming_error_propagate(monkeypatch, corpus20):
+    def broken(config):
+        raise RuntimeError("synthetic documents not derived from the training fold")
+
+    monkeypatch.setattr("spanaug.tpe.cross_validate", fake_cross_validate(broken))
+    with pytest.raises(RuntimeError, match="training fold"):
         optimize("random_token_deletion", corpus20, "md", n_trials=3, seed=3)
 
 
