@@ -266,6 +266,8 @@ def train_relations(
     plus an explicit none."""
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     if not train.documents:
         raise ValueError("cannot train on an empty corpus")
     # none first: an all-zero score ties toward predicting no relation

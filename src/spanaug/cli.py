@@ -10,37 +10,28 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
 from .corpus import Corpus, CorpusParseError, CorpusValidationError, load_corpus, serialize_corpus
-from .evaluation import GAIN_CSV_HEADER, cross_validate
+from .evaluation import cross_validate
 from .lexicon import LexiconError, builtin_lexicon, load_lexicon
 from .providers import ProviderError, make_provider
-from .stats import (
-    DELTA_CSV_HEADER,
-    STATS_CSV_HEADER,
-    compare_stats,
-    corpus_stats,
-    delta_csv_row,
-    stats_csv_row,
-)
-from .techniques import (
-    ConfigError,
-    TechniqueConfig,
-    UnknownTechniqueError,
-    augment_corpus,
-    list_techniques,
-    resolve_technique,
-)
-from .tpe import best_trial, optimize, trials_csv
+from .stats import CorpusStats, compare_stats, corpus_stats
+from .techniques import ConfigError, TechniqueConfig, augment_corpus, resolve_technique
+from .tpe import best_trial, optimize
 
-
-class UsageError(Exception):
-    pass
+# The first entry whose classes match an error decides the exit code.
+_EXIT_CODES = (
+    ((CorpusParseError, CorpusValidationError, LexiconError, ProviderError, RuntimeError), 1),
+    ((ValueError, FileNotFoundError, NotADirectoryError), 2),
+    (OSError, 1),
+)
 
 
 def _parse_value(text: str):
@@ -59,13 +50,14 @@ def _parse_params(pairs) -> dict:
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
         if not sep or not key:
-            raise UsageError(f"--params entries must look like key=value, got {pair!r}")
+            raise ConfigError(f"--params entries must look like key=value, got {pair!r}")
         params[key] = _parse_value(value)
     return params
 
 
-def _build_config(technique_id: str, params: dict) -> TechniqueConfig:
+def _build_config(technique_id: str, pairs) -> TechniqueConfig:
     resolve_technique(technique_id)  # fail early with the offending id
+    params = _parse_params(pairs)
     n_aug = params.pop("n_aug", 1)
     return TechniqueConfig(technique_id, params, n_aug=n_aug)
 
@@ -79,6 +71,23 @@ def _load_inputs(args):
 
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _csv_bytes(header, rows) -> bytes:
+    """A CSV table with standard quoting: only fields that hold a comma, a
+    quote or a line break are quoted; None is written as an empty field."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+def _delta_csv(technique: str, original: Corpus, augmented: Corpus) -> bytes:
+    d = compare_stats(original, augmented)
+    header = ("technique_id", "vocab_delta", "mention_len_delta", "direction_flip_rate")
+    row = (technique, d.vocabulary_delta, d.mention_length_delta, d.direction_flip_rate)
+    return _csv_bytes(header, [row])
 
 
 def _write_outputs(args, files: dict[str, bytes]) -> None:
@@ -107,27 +116,22 @@ def _write_outputs(args, files: dict[str, bytes]) -> None:
 
 def cmd_augment(args) -> dict[str, bytes]:
     corpus, lexicon, provider = _load_inputs(args)
-    config = _build_config(args.technique, _parse_params(args.params))
+    config = _build_config(args.technique, args.params)
     synthetic = augment_corpus(
         corpus, config, args.seed, lexicon=lexicon, provider=provider, workers=args.workers
     )
-    combined = Corpus(
-        corpus.documents + tuple(synthetic), corpus.mention_types, corpus.relation_types
-    )
-    delta = compare_stats(
-        corpus, Corpus(tuple(synthetic), corpus.mention_types, corpus.relation_types)
-    )
+    types = (corpus.mention_types, corpus.relation_types)
     return {
-        "augmented.json": serialize_corpus(combined),
-        "stats_delta.csv": f"{DELTA_CSV_HEADER}\n{delta_csv_row(args.technique, delta)}\n".encode(),
+        "augmented.json": serialize_corpus(Corpus(corpus.documents + tuple(synthetic), *types)),
+        "stats_delta.csv": _delta_csv(args.technique, corpus, Corpus(tuple(synthetic), *types)),
     }
 
 
 def cmd_evaluate(args) -> dict[str, bytes]:
+    if args.params and not args.technique:
+        raise ConfigError("--params needs --technique")
     corpus, lexicon, provider = _load_inputs(args)
-    config = (
-        _build_config(args.technique, _parse_params(args.params)) if args.technique else None
-    )
+    config = _build_config(args.technique, args.params) if args.technique else None
     tasks = ("md", "re") if args.task == "both" else (args.task,)
     report = cross_validate(
         corpus,
@@ -141,9 +145,14 @@ def cmd_evaluate(args) -> dict[str, bytes]:
         provider=provider,
         workers=args.workers,
     )
+    header = ("technique_id", "task", "baseline_f1", "augmented_f1", "gain")
+    rows = [
+        (report.technique_id, task, g.baseline_f1, g.augmented_f1, g.gain)
+        for task, g in report.tasks.items()
+    ]
     return {
         "gain_report.json": _json_bytes(dataclasses.asdict(report)),
-        "gain_report.csv": "\n".join([GAIN_CSV_HEADER] + report.csv_rows() + [""]).encode(),
+        "gain_report.csv": _csv_bytes(header, rows),
     }
 
 
@@ -171,8 +180,20 @@ def cmd_optimize(args) -> dict[str, bytes]:
         "objective": best.objective,
         "trial_index": best.trial_index,
     }
+    header = ("trial", "technique_id", "task", "objective", "params_json", "status")
+    rows = [
+        (
+            t.trial_index,
+            t.config.technique_id,
+            args.task,
+            t.objective,
+            json.dumps(t.full_params(), sort_keys=True),
+            t.status,
+        )
+        for t in history
+    ]
     return {
-        "trials.csv": trials_csv(history, args.task).encode(),
+        "trials.csv": _csv_bytes(header, rows),
         "best_config.json": _json_bytes(best_obj),
     }
 
@@ -180,16 +201,14 @@ def cmd_optimize(args) -> dict[str, bytes]:
 def cmd_analyze(args) -> dict[str, bytes]:
     original = load_corpus(args.corpus)
     augmented = load_corpus(args.augmented)
-    delta = compare_stats(original, augmented)
-    stats_rows = [
-        STATS_CSV_HEADER,
-        stats_csv_row("original", corpus_stats(original)),
-        stats_csv_row("augmented", corpus_stats(augmented)),
-        "",
+    header = ("corpus", *(f.name for f in dataclasses.fields(CorpusStats)))
+    rows = [
+        (label, *dataclasses.astuple(corpus_stats(c)))
+        for label, c in (("original", original), ("augmented", augmented))
     ]
     return {
-        "stats.csv": "\n".join(stats_rows).encode(),
-        "stats_delta.csv": f"{DELTA_CSV_HEADER}\n{delta_csv_row(args.technique, delta)}\n".encode(),
+        "stats.csv": _csv_bytes(header, rows),
+        "stats_delta.csv": _delta_csv(args.technique, original, augmented),
     }
 
 
@@ -254,22 +273,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _write_outputs(args, args.fn(args))
-        return 0
-    except UnknownTechniqueError as e:
-        print(
-            f"error: unknown technique {e.args[0]!r}; known: {', '.join(list_techniques())}",
-            file=sys.stderr,
-        )
-        return 2
-    except (UsageError, ConfigError, FileNotFoundError, NotADirectoryError, ValueError) as e:
-        if isinstance(e, (CorpusParseError, CorpusValidationError, LexiconError)):
-            print(f"error: {e}", file=sys.stderr)
-            return 1
+    except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ProviderError, RuntimeError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(e, kinds))
+    return 0
 
 
 if __name__ == "__main__":

@@ -100,9 +100,6 @@ class Document:
     def mention_texts(self, m: Mention) -> tuple[str, ...]:
         return tuple(t.text for t in self.tokens[m.start : m.end + 1])
 
-    def text(self) -> str:
-        return " ".join(t.text for t in self.tokens)
-
 
 @dataclass(frozen=True)
 class Corpus:

@@ -103,19 +103,6 @@ class GainReport:
     seed: int
     tasks: dict[str, TaskGain] = field(default_factory=dict)
 
-    def csv_rows(self) -> list[str]:
-        rows = []
-        for task in TASKS:
-            if task in self.tasks:
-                g = self.tasks[task]
-                rows.append(
-                    f"{self.technique_id or ''},{task},{g.baseline_f1},{g.augmented_f1},{g.gain}"
-                )
-        return rows
-
-
-GAIN_CSV_HEADER = "technique_id,task,baseline_f1,augmented_f1,gain"
-
 
 def check_folds(n_documents: int, k: int) -> None:
     if k < 2:
@@ -190,6 +177,11 @@ def cross_validate(
     for task in tasks:
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}")
+    # checked here, not only where they are used, so no fold trains first
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     folds = split_folds(len(corpus.documents), k, seed)
     if technique is not None:
         validate_config(technique)

@@ -91,11 +91,12 @@ def _read_lines(path: Path) -> list[tuple[int, str]]:
 
 def load_lexicon(path) -> Lexicon:
     """Load a lexicon directory. Missing files yield empty resources; a
-    malformed row or a broken invariant raises LexiconError naming the
-    file and line."""
+    path that is not a directory raises NotADirectoryError; a malformed
+    row or a broken invariant raises LexiconError naming the file and
+    line."""
     root = Path(path)
     if not root.is_dir():
-        raise LexiconError(f"lexicon path {root} is not a directory")
+        raise NotADirectoryError(f"lexicon path {root} is not a directory")
 
     entries: dict[tuple[str, str], dict[str, list[str]]] = {}
     pos_map: dict[str, str] = {}

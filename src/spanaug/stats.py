@@ -104,25 +104,3 @@ def compare_stats(original: Corpus, augmented: Corpus) -> StatsDelta:
         matched_relations=matched,
         unmatched_relations=unmatched,
     )
-
-
-DELTA_CSV_HEADER = "technique_id,vocab_delta,mention_len_delta,direction_flip_rate"
-
-
-def delta_csv_row(technique_id: str, delta: StatsDelta) -> str:
-    return (
-        f"{technique_id},{delta.vocabulary_delta},"
-        f"{delta.mention_length_delta},{delta.direction_flip_rate}"
-    )
-
-
-STATS_CSV_HEADER = (
-    "corpus,vocabulary_size,mean_mention_length,direction_fraction,tokens,mentions,relations"
-)
-
-
-def stats_csv_row(label: str, stats: CorpusStats) -> str:
-    return (
-        f"{label},{stats.vocabulary_size},{stats.mean_mention_length},"
-        f"{stats.direction_fraction},{stats.tokens},{stats.mentions},{stats.relations}"
-    )

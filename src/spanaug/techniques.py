@@ -49,11 +49,11 @@ AUXILIARIES = frozenset(
 NEGATIONS = ("not", "n't")
 
 
-class UnknownTechniqueError(KeyError):
+class ConfigError(ValueError):
     pass
 
 
-class ConfigError(ValueError):
+class UnknownTechniqueError(ConfigError):
     pass
 
 
@@ -739,7 +739,9 @@ for _t in TECHNIQUES.values():
 def resolve_technique(technique_id: str) -> Technique:
     name = _ALIASES.get(technique_id.lower())
     if name is None:
-        raise UnknownTechniqueError(technique_id)
+        raise UnknownTechniqueError(
+            f"unknown technique {technique_id!r}; known: {', '.join(list_techniques())}"
+        )
     return TECHNIQUES[name]
 
 
@@ -795,6 +797,8 @@ def augment_corpus(
     id, technique, replica), so outputs do not depend on worker count or
     scheduling; the worker flag changes wall time only.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     documents = source.documents if isinstance(source, Corpus) else tuple(source)
     technique, _ = validate_config(cfg)
     ctx = make_context(documents, lexicon, provider)

@@ -11,7 +11,6 @@ ratio. Until n_startup trials complete, parameters are drawn uniformly.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -34,8 +33,6 @@ from .techniques import (
 )
 
 logger = logging.getLogger(__name__)
-
-TRIALS_CSV_HEADER = "trial,technique_id,task,objective,params_json,status"
 
 
 @dataclass(frozen=True)
@@ -247,20 +244,3 @@ def best_trial(history: Sequence[TrialRecord]) -> TrialRecord:
     if not complete:
         raise RuntimeError("all trials failed")
     return max(complete, key=lambda t: (t.objective, -t.trial_index))
-
-
-def trials_csv(history: Sequence[TrialRecord], task: str) -> str:
-    """The trial log in its CSV form, header included."""
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TRIALS_CSV_HEADER.split(","))
-    for t in history:
-        params_json = json.dumps(t.full_params(), sort_keys=True)
-        objective = "" if t.objective is None else str(t.objective)
-        writer.writerow(
-            [t.trial_index, t.config.technique_id, task, objective, params_json, t.status]
-        )
-    return buffer.getvalue()

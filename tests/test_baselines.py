@@ -141,6 +141,11 @@ def test_relations_window_zero_excludes_cross_sentence():
     assert len(predict_relations(wide, doc)) == 1
 
 
+def test_relations_reject_negative_window():
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        train_relations(separable_relation_corpus(), epochs=1, seed=0, window=-1)
+
+
 def test_relations_training_deterministic():
     corpus = separable_relation_corpus()
     a = train_relations(corpus, epochs=3, seed=4)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -6,6 +8,7 @@ from corpora import fixture_corpus
 
 from spanaug.cli import main
 from spanaug.corpus import load_corpus, save_corpus
+from spanaug.evaluation import TaskGain
 
 
 @pytest.fixture
@@ -342,6 +345,7 @@ def test_non_integer_n_aug_is_usage_error(value, tmp_path, corpus_file, capsys):
         ("--epochs", "0", "epochs must be >= 1"),
         ("--folds", "1", "k must be >= 2"),
         ("--folds", "9", "cannot split 8 documents into 9 folds"),
+        ("--window", "-1", "window must be >= 0"),
     ],
 )
 def test_optimize_rejects_arguments_that_fail_every_trial(
@@ -422,3 +426,191 @@ def test_http_provider_through_cli(tmp_path, corpus_file):
         assert len(augmented.documents) == 2 * len(original.documents)
     finally:
         server.shutdown()
+
+
+# --- CSV tables --------------------------------------------------------------------------------
+
+
+def test_gain_report_csv_rows(tmp_path, corpus20):
+    corpus = tmp_path / "corpus20.json"
+    save_corpus(corpus20, corpus)
+    out = tmp_path / "gain"
+    code = main(
+        [
+            "evaluate",
+            "--corpus", str(corpus),
+            "--technique", "random_token_swap",
+            "--params", "s=1",
+            "--folds", "4",
+            "--epochs", "2",
+            "--seed", "2",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    rows = (out / "gain_report.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 2
+    assert rows[0].startswith("random_token_swap,md,")
+    head, task, base, aug, gain = rows[1].split(",")
+    assert task == "re"
+    assert float(aug) - float(base) == pytest.approx(float(gain))
+
+
+def test_stats_csv_rows(tmp_path, d1_corpus):
+    corpus = tmp_path / "d1.json"
+    save_corpus(d1_corpus, corpus)
+    out = tmp_path / "ana"
+    code = main(
+        [
+            "analyze",
+            "--corpus", str(corpus),
+            "--augmented", str(corpus),
+            "--technique", "shuffle_within_segments",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    header, row = (out / "stats_delta.csv").read_text().strip().split("\n")
+    assert row == "shuffle_within_segments,0,0.0,0.0"
+    assert header.count(",") == row.count(",")
+    stats_lines = (out / "stats.csv").read_text().strip().split("\n")
+    assert stats_lines[0] == (
+        "corpus,vocabulary_size,mean_mention_length,direction_fraction,tokens,mentions,relations"
+    )
+    assert stats_lines[1].startswith("original,9,1.25,1.0,10,4,1")
+
+
+def test_trials_csv_shape(monkeypatch, tmp_path, corpus20):
+    def fake_cross_validate(corpus, k, config, seed, *, tasks, **kwargs):
+        gain = TaskGain(0.0, 0.1, 0.1, (0.0,), (0.1,))
+        return type("Report", (), {"tasks": {tasks[0]: gain}})()
+
+    monkeypatch.setattr("spanaug.tpe.cross_validate", fake_cross_validate)
+    corpus = tmp_path / "corpus20.json"
+    save_corpus(corpus20, corpus)
+    out = tmp_path / "opt"
+    code = main(
+        [
+            "optimize",
+            "--corpus", str(corpus),
+            "--technique", "random_token_deletion",
+            "--task", "md",
+            "--trials", "3",
+            "--seed", "0",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    lines = (out / "trials.csv").read_text().strip().split("\n")
+    assert lines[0] == "trial,technique_id,task,objective,params_json,status"
+    assert len(lines) == 4
+    assert lines[1].startswith("0,random_token_deletion,md,0.1,")
+
+
+def test_free_text_label_is_quoted(tmp_path, corpus_file):
+    out = tmp_path / "ana"
+    label = 'swap, s=3 "hot"'
+    code = main(
+        [
+            "analyze",
+            "--corpus", str(corpus_file),
+            "--augmented", str(corpus_file),
+            "--technique", label,
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    header, row = csv.reader(io.StringIO((out / "stats_delta.csv").read_text()))
+    assert len(header) == len(row) == 4
+    assert row[0] == label
+
+
+# --- usage errors ------------------------------------------------------------------------------
+
+
+def test_evaluate_negative_window_is_usage_error(tmp_path, corpus_file, capsys):
+    out = tmp_path / "x"
+    code = main(
+        [
+            "evaluate",
+            "--corpus", str(corpus_file),
+            "--task", "re",
+            "--window", "-1",
+            "--seed", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "window must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["augment", "--technique", "random_token_swap"],
+        ["evaluate"],
+        ["optimize", "--technique", "random_token_swap", "--task", "md"],
+    ],
+    ids=["augment", "evaluate", "optimize"],
+)
+def test_workers_below_one_is_usage_error(argv, workers, tmp_path, corpus_file, capsys):
+    out = tmp_path / "x"
+    code = main(
+        argv + ["--corpus", str(corpus_file), "--seed", "1", "--workers", workers, "--out", str(out)]
+    )
+    assert code == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_params_without_technique_is_usage_error(tmp_path, corpus_file, capsys):
+    out = tmp_path / "x"
+    code = main(
+        [
+            "evaluate",
+            "--corpus", str(corpus_file),
+            "--params", "p=0.9",
+            "--seed", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "--params needs --technique" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lexicon_path_that_is_not_a_directory_is_usage_error(tmp_path, corpus_file, capsys):
+    out = tmp_path / "x"
+    code = main(
+        [
+            "augment",
+            "--corpus", str(corpus_file),
+            "--technique", "random_token_swap",
+            "--lexicon", str(corpus_file),
+            "--seed", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_lexicon_is_runtime_failure(tmp_path, corpus_file, capsys):
+    lexdir = tmp_path / "lex"
+    lexdir.mkdir()
+    (lexdir / "synonyms.tsv").write_text("a\tNOUN\tsyn\n")
+    code = main(
+        [
+            "augment",
+            "--corpus", str(corpus_file),
+            "--technique", "random_token_swap",
+            "--lexicon", str(lexdir),
+            "--seed", "1",
+            "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 1
+    assert "synonyms.tsv:1" in capsys.readouterr().err

@@ -222,6 +222,23 @@ def test_cross_validate_rejects_bad_arguments(corpus20):
         cross_validate(corpus20, k=4, seed=0, tasks=("nope",))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"window": -1}, "window must be >= 0"), ({"workers": 0}, "workers must be >= 1")],
+    ids=["window", "workers"],
+)
+def test_cross_validate_rejects_window_and_workers_before_training(
+    kwargs, message, monkeypatch, corpus20
+):
+    def no_training(*args, **kw):
+        raise AssertionError("trained before rejecting the arguments")
+
+    monkeypatch.setattr("spanaug.evaluation.train_tagger", no_training)
+    monkeypatch.setattr("spanaug.evaluation.train_relations", no_training)
+    with pytest.raises(ValueError, match=message):
+        cross_validate(corpus20, k=4, seed=0, **kwargs)
+
+
 def test_baseline_cache_reused(corpus20):
     cache = {}
     cfg = TechniqueConfig("random_token_insertion", {"n": 1})
@@ -229,14 +246,3 @@ def test_baseline_cache_reused(corpus20):
     assert len(cache) == 1
     second = cross_validate(corpus20, 4, cfg, 5, tasks=("md",), epochs=2, baseline_cache=cache)
     assert first == second
-
-
-def test_gain_report_csv_rows(corpus20):
-    cfg = TechniqueConfig("random_token_swap", {"s": 1})
-    report = cross_validate(corpus20, k=4, technique=cfg, seed=2, epochs=2)
-    rows = report.csv_rows()
-    assert len(rows) == 2
-    assert rows[0].startswith("random_token_swap,md,")
-    head, task, base, aug, gain = rows[1].split(",")
-    assert task == "re"
-    assert float(aug) - float(base) == pytest.approx(float(gain))

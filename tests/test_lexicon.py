@@ -85,7 +85,7 @@ def test_stopwords_lowercased(tmp_path):
 
 
 def test_missing_directory_rejected(tmp_path):
-    with pytest.raises(LexiconError):
+    with pytest.raises(NotADirectoryError):
         load_lexicon(tmp_path / "nowhere")
 
 

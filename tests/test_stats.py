@@ -3,13 +3,7 @@ import dataclasses
 import pytest
 
 from spanaug.corpus import Corpus
-from spanaug.stats import (
-    DELTA_CSV_HEADER,
-    compare_stats,
-    corpus_stats,
-    delta_csv_row,
-    stats_csv_row,
-)
+from spanaug.stats import compare_stats, corpus_stats
 from spanaug.techniques import TechniqueConfig, augment_corpus
 
 
@@ -103,12 +97,3 @@ def test_ratio_handles_zero_baseline():
     delta = compare_stats(empty, empty)
     assert delta.vocabulary_ratio is None
     assert delta.mention_length_ratio is None
-
-
-def test_csv_rows(d1_corpus):
-    delta = compare_stats(d1_corpus, d1_corpus)
-    row = delta_csv_row("shuffle_within_segments", delta)
-    assert row == "shuffle_within_segments,0,0.0,0.0"
-    assert DELTA_CSV_HEADER.count(",") == row.count(",")
-    stats_row = stats_csv_row("original", corpus_stats(d1_corpus))
-    assert stats_row.startswith("original,9,1.25,1.0,10,4,1")

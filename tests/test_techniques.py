@@ -24,6 +24,7 @@ from spanaug.techniques import (
     UnknownTechniqueError,
     apply_technique,
     augment_corpus,
+    list_techniques,
     make_context,
     origin_id,
     resolve_technique,
@@ -525,6 +526,14 @@ def test_unknown_technique_rejected(d1):
         augment_corpus([d1], TechniqueConfig("no_such_thing", {}), 0)
 
 
+def test_unknown_technique_is_a_config_error_listing_the_known_ones():
+    with pytest.raises(ConfigError) as err:
+        resolve_technique("no_such_thing")
+    assert str(err.value) == (
+        f"unknown technique 'no_such_thing'; known: {', '.join(list_techniques())}"
+    )
+
+
 def test_alias_lookup():
     assert resolve_technique("B.79").name == "random_token_deletion"
     assert resolve_technique("random_insert").name == "random_token_insertion"
@@ -579,6 +588,13 @@ def test_worker_count_does_not_change_outputs(corpus20, lexicon):
     serial = augment_corpus(corpus20, cfg, 13, lexicon=lexicon, workers=1)
     threaded = augment_corpus(corpus20, cfg, 13, lexicon=lexicon, workers=8)
     assert serial == threaded
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_rejected(workers, corpus20):
+    cfg = TechniqueConfig("random_token_swap", {"s": 1})
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        augment_corpus(corpus20, cfg, 13, workers=workers)
 
 
 DIRECTION_CHANGERS = {"sentence_reordering", "sentence_concatenation"}

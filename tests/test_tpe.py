@@ -5,7 +5,7 @@ import pytest
 from spanaug.evaluation import TaskGain
 from spanaug.providers import ProviderError
 from spanaug.techniques import CatParam, FloatParam, IntParam, ParamSpace, TechniqueConfig
-from spanaug.tpe import TrialRecord, best_trial, optimize, suggest, trials_csv
+from spanaug.tpe import TrialRecord, best_trial, optimize, suggest
 
 
 def float_space():
@@ -208,7 +208,6 @@ def test_optimize_is_deterministic(monkeypatch, corpus20):
     _, first = optimize("random_token_deletion", corpus20, "md", n_trials=10, seed=5)
     _, second = optimize("random_token_deletion", corpus20, "md", n_trials=10, seed=5)
     assert first == second
-    assert trials_csv(first, "md") == trials_csv(second, "md")
 
 
 def test_optimize_records_failures_and_continues(monkeypatch, corpus20):
@@ -259,13 +258,3 @@ def test_optimize_configs_stay_inside_space(monkeypatch, corpus20):
 def test_optimize_validates_task(corpus20):
     with pytest.raises(ValueError):
         optimize("random_token_deletion", corpus20, "both", n_trials=1, seed=0)
-
-
-def test_trials_csv_shape(monkeypatch, corpus20):
-    monkeypatch.setattr("spanaug.tpe.cross_validate", fake_cross_validate(lambda cfg: 0.1))
-    _, history = optimize("random_token_deletion", corpus20, "md", n_trials=3, seed=0)
-    text = trials_csv(history, "md")
-    lines = text.strip().split("\n")
-    assert lines[0] == "trial,technique_id,task,objective,params_json,status"
-    assert len(lines) == 4
-    assert lines[1].startswith("0,random_token_deletion,md,0.1,")
