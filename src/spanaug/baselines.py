@@ -2,14 +2,13 @@
 
 Two averaged perceptrons: a BIO sequence tagger for mention detection and
 a multiclass classifier over ordered mention pairs for relation
-extraction, plus the order-based Performer/Recipient rule. Both models
-memorize surface forms through their lexical features, which is exactly
-the behavior the augmentation effects perturb, so gains are measurable
-without external model dependencies. Training is deterministic for a
-fixed (corpus, epochs, seed). While training, every weight is a whole
-number, so each feature's row is packed into one int with a 64-bit field
-per class: scoring a decision is one big-int sum, and a mistake updates a
-row with one addition.
+extraction. Both models memorize surface forms through their lexical
+features, which is exactly the behavior the augmentation effects perturb,
+so gains are measurable without external model dependencies. Training is
+deterministic for a fixed (corpus, epochs, seed). While training, every
+weight is a whole number, so each feature's row is packed into one int
+with a 64-bit field per class: scoring a decision is one big-int sum, and
+a mistake updates a row with one addition.
 """
 
 from __future__ import annotations
@@ -293,27 +292,6 @@ def predict_relations(model: RelModel, d: Document) -> list[Relation]:
         pred = _predict(model.weights, _pair_features(d, head, tail))
         if pred != 0:
             out.append(Relation(f"r{len(out)}", classes[pred], head.id, tail.id))
-    return out
-
-
-def rule_actor_baseline(d: Document) -> list[Relation]:
-    """Order rule: per Activity, the nearest same-sentence Actor on the
-    left becomes its Performer, the nearest on the right its Recipient.
-    Distance is measured between span starts; ties take the leftmost."""
-    out = []
-    activities = [m for m in sorted(d.mentions, key=lambda m: m.start) if m.type == "Activity"]
-    actors = [m for m in sorted(d.mentions, key=lambda m: m.start) if m.type == "Actor"]
-    for act in activities:
-        sentence = d.tokens[act.start].sentence
-        same = [m for m in actors if d.tokens[m.start].sentence == sentence]
-        left = [m for m in same if m.start < act.start]
-        right = [m for m in same if m.start > act.start]
-        if left:
-            nearest = min(left, key=lambda m: (act.start - m.start, m.start))
-            out.append(Relation(f"ab{len(out)}", "Actor Performer", act.id, nearest.id))
-        if right:
-            nearest = min(right, key=lambda m: (m.start - act.start, m.start))
-            out.append(Relation(f"ab{len(out)}", "Actor Recipient", act.id, nearest.id))
     return out
 
 

@@ -3,7 +3,7 @@ optimize its parameters, and compare corpus statistics.
 
 Every run takes an explicit --seed (no wall-clock default), and outputs
 are fully determined by the recorded manifest: rerunning with the same
-flags reproduces every output byte for byte, at any worker count.
+flags reproduces every output byte for byte.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -51,6 +51,8 @@ def _parse_params(pairs) -> dict:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise ConfigError(f"--params entries must look like key=value, got {pair!r}")
+        if key in params:
+            raise ConfigError(f"--params gives {key!r} more than once")
         params[key] = _parse_value(value)
     return params
 
@@ -63,6 +65,9 @@ def _build_config(technique_id: str, pairs) -> TechniqueConfig:
 
 
 def _load_inputs(args):
+    # --workers has no effect yet, but a value below 1 is still a usage error
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
     corpus = load_corpus(args.corpus)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else builtin_lexicon()
     provider = make_provider(args.provider)
@@ -94,8 +99,8 @@ def _write_outputs(args, files: dict[str, bytes]) -> None:
     """Write a command's files plus its manifest. All content is built in
     memory first; nothing is written until every output exists, so
     failures leave no partial files."""
-    # workers is deliberately absent: it changes wall time, never outputs,
-    # so manifests stay byte-identical across worker counts
+    # workers is deliberately absent: it never changes outputs, so
+    # manifests stay byte-identical across worker counts
     options = {
         key: value
         for key, value in vars(args).items()
@@ -117,9 +122,7 @@ def _write_outputs(args, files: dict[str, bytes]) -> None:
 def cmd_augment(args) -> dict[str, bytes]:
     corpus, lexicon, provider = _load_inputs(args)
     config = _build_config(args.technique, args.params)
-    synthetic = augment_corpus(
-        corpus, config, args.seed, lexicon=lexicon, provider=provider, workers=args.workers
-    )
+    synthetic = augment_corpus(corpus, config, args.seed, lexicon=lexicon, provider=provider)
     types = (corpus.mention_types, corpus.relation_types)
     return {
         "augmented.json": serialize_corpus(Corpus(corpus.documents + tuple(synthetic), *types)),
@@ -143,7 +146,6 @@ def cmd_evaluate(args) -> dict[str, bytes]:
         window=args.window,
         lexicon=lexicon,
         provider=provider,
-        workers=args.workers,
     )
     header = ("technique_id", "task", "baseline_f1", "augmented_f1", "gain")
     rows = [
@@ -169,7 +171,6 @@ def cmd_optimize(args) -> dict[str, bytes]:
         window=args.window,
         lexicon=lexicon,
         provider=provider,
-        workers=args.workers,
     )
     best = best_trial(history)
     best_obj = {
@@ -222,7 +223,7 @@ def _add_common(parser, *, seed: bool = True) -> None:
         )
         parser.add_argument("--lexicon", default=None, help="lexicon directory (default: bundled)")
         parser.add_argument(
-            "--workers", type=int, default=1, help="parallel workers (wall time only)"
+            "--workers", type=int, default=1, help="accepted, no effect yet (must be >= 1)"
         )
 
 

@@ -2,8 +2,8 @@
 and typed directed relations between mentions, plus a canonical JSON
 serialization and an invariant checker.
 
-All types are immutable values; augmenters and evaluators share them freely
-across workers. Token indices are the only addressing scheme: mentions carry
+All types are immutable values; augmenters and evaluators share them
+freely. Token indices are the only addressing scheme: mentions carry
 inclusive [start, end] token spans and never BIO tags (BIO is an internal
 encoding of the baseline tagger only).
 """

@@ -164,7 +164,6 @@ def cross_validate(
     window: int = 1,
     lexicon: Lexicon | None = None,
     provider: ParaphraseProvider | None = None,
-    workers: int = 1,
     baseline_cache: dict | None = None,
 ) -> GainReport:
     """Per-task mean F1 over k folds for the plain and the augmented arm,
@@ -177,11 +176,9 @@ def cross_validate(
     for task in tasks:
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}")
-    # checked here, not only where they are used, so no fold trains first
+    # checked here, not only where it is used, so no fold trains first
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     folds = split_folds(len(corpus.documents), k, seed)
     if technique is not None:
         validate_config(technique)
@@ -210,7 +207,6 @@ def cross_validate(
             derive_seed(seed, "augment", fold_index),
             lexicon=lexicon,
             provider=provider,
-            workers=workers,
         )
         train_ids = {d.id for d in train_docs}
         leaked = [s.id for s in synthetic if origin_id(s.id) not in train_ids]

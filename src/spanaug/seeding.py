@@ -1,8 +1,8 @@
 """Stable seed derivation.
 
-Python's built-in hash() is salted per process, so worker seeds are
-derived from SHA-256 instead: equal inputs give equal seeds on every
-machine, interpreter, and worker count.
+Python's built-in hash() is salted per process, so seeds are derived
+from SHA-256 instead: equal inputs give equal seeds in every process, on
+every machine and interpreter.
 """
 
 from __future__ import annotations

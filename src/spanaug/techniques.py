@@ -8,8 +8,8 @@ k=0, or the identity rewrite stub) reproducing its input.
 
 Techniques are pure given (document, config, rng): equal seeds give
 byte-identical outputs. Corpus-level augmentation derives one rng per
-(seed, document id, technique, replica), so results are independent of
-worker count and scheduling.
+(seed, document id, technique, replica), so no replica's output depends
+on any other.
 """
 
 from __future__ import annotations
@@ -789,30 +789,20 @@ def augment_corpus(
     *,
     lexicon: Lexicon | None = None,
     provider: ParaphraseProvider | None = None,
-    workers: int = 1,
 ) -> list[Document]:
-    """Synthetic documents for a whole corpus, n_aug per original.
+    """Synthetic documents for a whole corpus, n_aug per original, in
+    document order and then replica order.
 
     Each (document, replica) gets its own rng derived from (seed, document
-    id, technique, replica), so outputs do not depend on worker count or
-    scheduling; the worker flag changes wall time only.
+    id, technique, replica), so no replica's output depends on any other.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     documents = source.documents if isinstance(source, Corpus) else tuple(source)
     technique, _ = validate_config(cfg)
     ctx = make_context(documents, lexicon, provider)
-
-    def one(job: tuple[Document, int]) -> Document:
-        d, k = job
-        rng = derive_rng(seed, d.id, technique.name, k)
-        doc, _ = apply_technique(d, cfg, rng, ctx)
-        return replace(doc, id=f"{d.id}-aug{k + 1}")
-
-    jobs = [(d, k) for d in documents for k in range(cfg.n_aug)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, jobs))
-    return [one(job) for job in jobs]
+    out = []
+    for d in documents:
+        for k in range(cfg.n_aug):
+            rng = derive_rng(seed, d.id, technique.name, k)
+            doc, _ = apply_technique(d, cfg, rng, ctx)
+            out.append(replace(doc, id=f"{d.id}-aug{k + 1}"))
+    return out

@@ -188,7 +188,6 @@ def optimize(
     window: int = 1,
     lexicon: Lexicon | None = None,
     provider: ParaphraseProvider | None = None,
-    workers: int = 1,
 ) -> tuple[TechniqueConfig, list[TrialRecord]]:
     """Sequential trials: suggest a config, measure its gain by k-fold
     cross-validation, feed the result back. Returns the config of
@@ -226,7 +225,6 @@ def optimize(
                 window=window,
                 lexicon=lexicon,
                 provider=provider,
-                workers=workers,
                 baseline_cache=baseline_cache,
             )
             objective = report.tasks[task].gain

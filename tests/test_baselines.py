@@ -12,7 +12,6 @@ from spanaug.baselines import (
     predict_mentions,
     predict_relations,
     predict_tags,
-    rule_actor_baseline,
     train_relations,
     train_tagger,
 )
@@ -24,7 +23,7 @@ from corpora import (
 )
 
 from spanaug.corpus import Corpus, Mention, Relation, make_document, validate_document
-from spanaug.edits import PermuteSentences, apply_edit, sentence_spans
+from spanaug.edits import sentence_spans
 
 
 def mention_keys(mentions):
@@ -156,62 +155,6 @@ def test_relations_training_deterministic():
 def test_relations_reject_empty_corpus():
     with pytest.raises(ValueError):
         train_relations(Corpus(()), epochs=1)
-
-
-# --- actor order rule -----------------------------------------------------------
-
-
-def actor_doc():
-    return make_document(
-        "a",
-        [(w, 0) for w in ["The", "clerk", "registers", "the", "file", "for", "the", "officer", "."]],
-        [
-            Mention("m1", "Actor", 1, 1),
-            Mention("m2", "Activity", 2, 2),
-            Mention("m3", "Actor", 7, 7),
-        ],
-    )
-
-
-def test_rule_assigns_left_performer_right_recipient():
-    relations = rule_actor_baseline(actor_doc())
-    assert relation_keys(relations) == [
-        ("Actor Performer", "m2", "m1"),
-        ("Actor Recipient", "m2", "m3"),
-    ]
-
-
-def test_rule_without_actors_emits_nothing():
-    doc = make_document("b", [("files", 0)], [Mention("v", "Activity", 0, 0)])
-    assert rule_actor_baseline(doc) == []
-
-
-def test_rule_ignores_other_sentences():
-    doc = make_document(
-        "c",
-        [("clerk", 0), ("files", 0), (".", 0), ("officer", 1), ("waits", 1), (".", 1)],
-        [
-            Mention("a0", "Actor", 0, 0),
-            Mention("v0", "Activity", 1, 1),
-            Mention("a1", "Actor", 3, 3),
-        ],
-    )
-    assert relation_keys(rule_actor_baseline(doc)) == [("Actor Performer", "v0", "a0")]
-
-
-def test_rule_invariant_under_reordering_other_sentences():
-    doc = make_document(
-        "c",
-        [("clerk", 0), ("files", 0), (".", 0), ("officer", 1), ("checks", 1), (".", 1)],
-        [
-            Mention("a0", "Actor", 0, 0),
-            Mention("v0", "Activity", 1, 1),
-            Mention("a1", "Actor", 3, 3),
-            Mention("v1", "Activity", 4, 4),
-        ],
-    )
-    permuted, _ = apply_edit(doc, PermuteSentences((1, 0)))
-    assert relation_keys(rule_actor_baseline(doc)) == relation_keys(rule_actor_baseline(permuted))
 
 
 # --- persistence ------------------------------------------------------------------

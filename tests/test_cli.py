@@ -565,6 +565,54 @@ def test_workers_below_one_is_usage_error(argv, workers, tmp_path, corpus_file, 
     assert not out.exists()
 
 
+def test_augment_runs_every_technique_call_on_the_calling_thread(
+    monkeypatch, tmp_path, corpus_file
+):
+    import threading
+
+    import spanaug.techniques as techniques
+
+    threads = []
+    apply_technique = techniques.apply_technique
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return apply_technique(*args, **kwargs)
+
+    monkeypatch.setattr(techniques, "apply_technique", recording)
+    code = main(
+        [
+            "augment",
+            "--corpus", str(corpus_file),
+            "--technique", "random_token_swap",
+            "--params", "n_aug=2",
+            "--seed", "1",
+            "--workers", "8",
+            "--out", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 0
+    assert len(threads) == 16
+    assert set(threads) == {threading.get_ident()}
+
+
+def test_repeated_params_key_is_usage_error(tmp_path, corpus_file, capsys):
+    out = tmp_path / "x"
+    code = main(
+        [
+            "augment",
+            "--corpus", str(corpus_file),
+            "--technique", "B.79",
+            "--params", "p=0.0", "p=0.9",
+            "--seed", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "'p' more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_params_without_technique_is_usage_error(tmp_path, corpus_file, capsys):
     out = tmp_path / "x"
     code = main(

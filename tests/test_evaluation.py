@@ -224,8 +224,8 @@ def test_cross_validate_rejects_bad_arguments(corpus20):
 
 @pytest.mark.parametrize(
     "kwargs, message",
-    [({"window": -1}, "window must be >= 0"), ({"workers": 0}, "workers must be >= 1")],
-    ids=["window", "workers"],
+    [({"window": -1}, "window must be >= 0")],
+    ids=["window"],
 )
 def test_cross_validate_rejects_window_and_workers_before_training(
     kwargs, message, monkeypatch, corpus20

@@ -583,20 +583,6 @@ def test_universal_conservation_and_determinism(name, corpus20, lexicon):
             assert relation_multiset(doc) == relation_multiset(source)
 
 
-def test_worker_count_does_not_change_outputs(corpus20, lexicon):
-    cfg = TechniqueConfig("lexicon_substitution", {"mode": "synonym", "p": 0.5}, n_aug=2)
-    serial = augment_corpus(corpus20, cfg, 13, lexicon=lexicon, workers=1)
-    threaded = augment_corpus(corpus20, cfg, 13, lexicon=lexicon, workers=8)
-    assert serial == threaded
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-def test_worker_count_below_one_rejected(workers, corpus20):
-    cfg = TechniqueConfig("random_token_swap", {"s": 1})
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        augment_corpus(corpus20, cfg, 13, workers=workers)
-
-
 DIRECTION_CHANGERS = {"sentence_reordering", "sentence_concatenation"}
 
 
