@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from collections import Counter
 from random import Random
 
@@ -601,3 +602,65 @@ def test_relation_direction_preserved(name, corpus20, lexicon):
         source_relations = {r.id: r for r in source.relations}
         for r in doc.relations:
             assert sign(doc, r) == sign(source, source_relations[r.id])
+
+
+# --- golden bytes ------------------------------------------------------------------
+
+GOLDEN_CONFIGS = list(HOT_PARAMS.items()) + [
+    ("sentence_reordering", {"p": 1.0, "max_displacement": 2}),
+    ("lexicon_substitution", {"mode": "antonym_even", "k": 2}),
+    ("lexicon_substitution", {"mode": "adjective_antonym", "p": 0.7}),
+    ("sentence_concatenation", {"n_merges": 10}),
+]
+# SHA-256 over every configuration's serialized output at each seed. A
+# refactor of the catalog must leave it unchanged; a change of output bytes
+# updates it and says why.
+GOLDEN_DIGEST = "0d31e01e1bc6f511a4821881a9d1f11d5a36736635413e65fef32231e8c810ac"
+
+
+def golden_corpus(corpus20):
+    """corpus20 plus one document with the sites corpus20 lacks: negated
+    auxiliaries (one inside a mention), a long form inside a mention, a
+    short form, and adjectives with antonyms."""
+    words = (
+        "The CEO does n't approve the invalid PO . "
+        "If the form is not valid , the Human Resources manager rejects it ."
+    ).split()
+    boundary = words.index(".") + 1
+    extra = make_document(
+        "catalog",
+        [(w, int(i >= boundary)) for i, w in enumerate(words)],
+        [
+            Mention("c1", "Actor", 1, 1),
+            Mention("c2", "Activity", 4, 4),
+            Mention("c3", "Activity Data", 6, 7),
+            Mention("c4", "Activity Data", 10, 14),
+            Mention("c5", "Actor", 17, 19),
+            Mention("c6", "Activity", 20, 20),
+        ],
+        [
+            Relation("k1", "Actor Performer", "c2", "c1"),
+            Relation("k2", "Uses", "c2", "c3"),
+            Relation("k3", "Flow", "c2", "c6"),
+            Relation("k4", "Actor Performer", "c6", "c5"),
+            Relation("k5", "Uses", "c6", "c4"),
+        ],
+    )
+    return Corpus(corpus20.documents + (extra,), corpus20.mention_types, corpus20.relation_types)
+
+
+def test_catalog_bytes_match_recorded_digest(corpus20, lexicon):
+    corpus = golden_corpus(corpus20)
+    by_id = {d.id: d for d in corpus.documents}
+    digest = hashlib.sha256()
+    changed = set()
+    for name, params in GOLDEN_CONFIGS:
+        cfg = TechniqueConfig(name, params, n_aug=2)
+        for seed in (0, 1, 2):
+            out = augment_corpus(corpus, cfg, seed, lexicon=lexicon)
+            types = (corpus.mention_types, corpus.relation_types)
+            digest.update(serialize_corpus(Corpus(tuple(out), *types)))
+            if any(dataclasses.replace(d, id=origin_id(d.id)) != by_id[origin_id(d.id)] for d in out):
+                changed.add(name)
+    assert changed == set(TECHNIQUES)
+    assert digest.hexdigest() == GOLDEN_DIGEST
