@@ -1,8 +1,9 @@
 """Catalog of annotation-preserving augmentation techniques.
 
 Fifteen parameterized operations synthesize new documents from annotated
-ones. Every operation routes its mutations through the edit engine, so
-outputs always validate: mention count and the relation multiset are
+ones. An operation only proposes a list of edits; apply_technique applies
+them in one apply_edits call, so every output passes through the edit
+engine and validates: mention count and the relation multiset are
 conserved, and each technique has an identity configuration (p=0, n=0,
 k=0, or the identity rewrite stub) reproducing its input.
 
@@ -26,7 +27,7 @@ from .edits import (
     PermuteSentences,
     ReplaceSpan,
     SwapTokens,
-    apply_edit,
+    apply_edit,  # unused here; the benchmark tracer rebinds techniques.apply_edit
     apply_edits,
     free_spans,
     sentence_spans,
@@ -156,7 +157,7 @@ class AugmentContext:
     provider: ParaphraseProvider
     vocabulary: tuple[str, ...]
     donor_documents: tuple[Document, ...]
-    _donor_index: dict | None = None
+    _donor_index: dict | None = field(default=None, init=False, repr=False)
 
     def donor_index(self) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
         """POS-tag sequence -> free-span token subsequences over the donor
@@ -227,33 +228,41 @@ def _split_words(text: str) -> tuple[str, ...]:
 
 
 # --- technique implementations ---------------------------------------------
-# Each returns (document, had_candidates). had_candidates=False means the
-# document offered no applicable site at all ("no-op flagged"); a draw that
-# happens to change nothing is not flagged.
+# Each returns (edits, had_candidates): the edits to apply to d in order,
+# each addressing the document the ones before it produced, and
+# had_candidates=False when the document offered no applicable site at all
+# ("no-op flagged"); a draw that happens to change nothing is not flagged.
+# No technique applies an edit itself: apply_technique does, in one call.
 
 
 def _random_token_deletion(d, params, rng, ctx):
     mask = _mention_mask(d)
     free = [i for i in range(len(d.tokens)) if mask[i] is None]
     if not free:
-        return d, False
+        return [], False
     positions = frozenset(i for i in free if rng.random() < params["p"])
-    if not positions:
-        return d, True
-    doc, _ = apply_edit(d, DeleteTokens(positions))
-    return doc, True
+    return ([DeleteTokens(positions)] if positions else []), True
 
 
 def _random_token_insertion(d, params, rng, ctx):
     if not ctx.vocabulary:
-        return d, False
-    doc = d
+        return [], False
+    # Widths of the units no insertion may split (a whole mention or one
+    # free token); the eligible positions are the boundaries between them,
+    # and each inserted token is a new unit of width 1.
+    mask = _mention_mask(d)
+    widths = []
+    i = 0
+    while i < len(d.tokens):
+        widths.append(mask[i].length if mask[i] else 1)
+        i += widths[-1]
+    edits = []
     for _ in range(params["n"]):
-        eligible = [p for p in range(len(doc.tokens) + 1) if not _strictly_inside(doc, p)]
-        position = eligible[rng.randrange(len(eligible))]
+        k = rng.randrange(len(widths) + 1)
         text = ctx.vocabulary[rng.randrange(len(ctx.vocabulary))]
-        doc, _ = apply_edit(doc, InsertTokens(position, (text,)))
-    return doc, True
+        edits.append(InsertTokens(sum(widths[:k]), (text,)))
+        widths.insert(k, 1)
+    return edits, True
 
 
 def _eligible_swap_pairs(d: Document) -> list[tuple[int, int]]:
@@ -272,32 +281,27 @@ def _eligible_swap_pairs(d: Document) -> list[tuple[int, int]]:
 def _random_token_swap(d, params, rng, ctx):
     pairs = _eligible_swap_pairs(d)
     if not pairs:
-        return d, False
-    doc = d
-    for _ in range(params["s"]):
-        i, j = pairs[rng.randrange(len(pairs))]
-        doc, _ = apply_edit(doc, SwapTokens(i, j))
-    return doc, True
+        return [], False
+    return [SwapTokens(*pairs[rng.randrange(len(pairs))]) for _ in range(params["s"])], True
 
 
 def _filler_word_insertion(d, params, rng, ctx):
     fillers = ctx.lexicon.fillers
     if not fillers or not d.tokens:
-        return d, False
+        return [], False
     points = {s for _, s, _ in sentence_spans(d)}
     points |= {i + 1 for i, t in enumerate(d.tokens) if t.text == ","}
     if not params["in_mentions"]:
         points = {p for p in points if not _strictly_inside(d, p)}
     if not points:
-        return d, False
+        return [], False
     chosen = []
     for p in sorted(points):
         if rng.random() < params["p"]:
             phrase = fillers[rng.randrange(len(fillers))]
             chosen.append((p, _split_words(phrase)))
     edits = [InsertTokens(p, words) for p, words in reversed(chosen)]
-    doc, _ = apply_edits(d, edits)
-    return doc, True
+    return edits, True
 
 
 def _synonym_insertion(d, params, rng, ctx):
@@ -310,7 +314,7 @@ def _synonym_insertion(d, params, rng, ctx):
         if synonyms:
             sites.append((i, synonyms))
     if not sites:
-        return d, False
+        return [], False
     chosen = []
     for i, synonyms in sites:
         if rng.random() < params["p"]:
@@ -319,8 +323,7 @@ def _synonym_insertion(d, params, rng, ctx):
     # Replace token i with [synonym..., token]: inside a mention the
     # containment rule grows the span; elsewhere this equals an insertion.
     edits = [ReplaceSpan(i, i, words) for i, words in reversed(chosen)]
-    doc, _ = apply_edits(d, edits)
-    return doc, True
+    return edits, True
 
 
 def _lexicon_substitution(d, params, rng, ctx):
@@ -336,7 +339,7 @@ def _lexicon_substitution(d, params, rng, ctx):
 
     sites = [(i, options) for i, t in enumerate(d.tokens) if (options := lookup(t.text))]
     if len(sites) < (2 if mode == "antonym_even" else 1):
-        return d, False
+        return [], False
 
     if mode == "antonym_even":
         count = min(2 * params["k"], len(sites) - len(sites) % 2)
@@ -350,8 +353,7 @@ def _lexicon_substitution(d, params, rng, ctx):
         pick = match_case(options[rng.randrange(len(options))], d.tokens[i].text)
         chosen.append((i, _split_words(pick)))
     edits = [ReplaceSpan(i, i, words) for i, words in reversed(chosen)]
-    doc, _ = apply_edits(d, edits)
-    return doc, True
+    return edits, True
 
 
 def _auxiliary_negation_removal(d, params, rng, ctx):
@@ -362,13 +364,12 @@ def _auxiliary_negation_removal(d, params, rng, ctx):
         and d.tokens[i - 1].text.lower() in AUXILIARIES
     ]
     if not matches:
-        return d, False
+        return [], False
     selected = [i for i in matches if rng.random() < params["p"]]
     # One delete per match so a rejection (emptying a mention) skips only
     # that occurrence.
     edits = [DeleteTokens(frozenset({i})) for i in reversed(selected)]
-    doc, _ = apply_edits(d, edits)
-    return doc, True
+    return edits, True
 
 
 def _abbreviation_matches(d: Document, lex: Lexicon) -> list[tuple[int, int, tuple[str, ...]]]:
@@ -407,11 +408,10 @@ def _abbreviation_matches(d: Document, lex: Lexicon) -> list[tuple[int, int, tup
 def _abbreviation_toggle(d, params, rng, ctx):
     matches = _abbreviation_matches(d, ctx.lexicon)
     if not matches:
-        return d, False
+        return [], False
     chosen = [m for m in matches if rng.random() < params["p"]]
     edits = [ReplaceSpan(s, e, words) for s, e, words in reversed(chosen)]
-    doc, _ = apply_edits(d, edits)
-    return doc, True
+    return edits, True
 
 
 def _mention_replacement(d, params, rng, ctx):
@@ -421,7 +421,7 @@ def _mention_replacement(d, params, rng, ctx):
     originals = {m.id: d.mention_texts(m) for m in d.mentions}
     sites = [m for m in sorted(d.mentions, key=lambda m: m.start) if len(by_type[m.type]) > 1]
     if not sites:
-        return d, False
+        return [], False
     chosen = []
     for m in sites:
         if rng.random() < params["p"]:
@@ -429,15 +429,14 @@ def _mention_replacement(d, params, rng, ctx):
             donor = candidates[rng.randrange(len(candidates))]
             chosen.append((m, originals[donor.id]))
     edits = [ReplaceSpan(m.start, m.end, texts) for m, texts in reversed(chosen)]
-    doc, _ = apply_edits(d, edits)
-    return doc, True
+    return edits, True
 
 
 def _shuffle_within_segments(d, params, rng, ctx):
     segments = [(m.start, m.end) for m in d.mentions] + free_spans(d)
     segments = sorted(seg for seg in segments if seg[1] > seg[0])
     if not segments:
-        return d, False
+        return [], False
     edits = []
     for s, e in segments:
         if rng.random() >= params["p"]:
@@ -453,22 +452,20 @@ def _shuffle_within_segments(d, params, rng, ctx):
             if b != a:
                 edits.append(SwapTokens(s + a, s + b))
                 slots[a], slots[b] = slots[b], slots[a]
-    doc, _ = apply_edits(d, edits)
-    return doc, True
+    return edits, True
 
 
 def _sentence_reordering(d, params, rng, ctx):
     n = len(sentence_spans(d))
     if n < 2:
-        return d, False
+        return [], False
     if rng.random() >= params["p"]:
-        return d, True
+        return [], True
     identity = list(range(n))
     order = identity
     while order == identity:
         order = _bounded_order(n, params["max_displacement"], rng)
-    doc, _ = apply_edit(d, PermuteSentences(tuple(order)))
-    return doc, True
+    return [PermuteSentences(tuple(order))], True
 
 
 def _bounded_order(n, max_disp, rng):
@@ -493,22 +490,19 @@ def _bounded_order(n, max_disp, rng):
 
 
 def _sentence_concatenation(d, params, rng, ctx):
-    if len(sentence_spans(d)) < 2:
-        return d, False
-    doc = d
-    for _ in range(params["n_merges"]):
-        spans = sentence_spans(doc)
-        if len(spans) < 2:
-            break
-        doc, _ = apply_edit(doc, MergeSentences(rng.randrange(len(spans) - 1)))
-    return doc, True
+    n = len(sentence_spans(d))
+    if n < 2:
+        return [], False
+    # Merge t meets n - t sentences, so n - 1 - t adjacent pairs.
+    merges = min(params["n_merges"], n - 1)
+    return [MergeSentences(rng.randrange(n - 1 - t)) for t in range(merges)], True
 
 
 def _subsequence_substitution(d, params, rng, ctx):
     lex = ctx.lexicon
     pieces = _sentence_internal_free_spans(d)
     if not pieces:
-        return d, False
+        return [], False
     index = ctx.donor_index()
     chosen = []
     for s, e in pieces:
@@ -532,14 +526,13 @@ def _subsequence_substitution(d, params, rng, ctx):
         replacement = candidates[rng.randrange(len(candidates))]
         chosen.append((start, end, replacement))
     edits = [ReplaceSpan(s, e, texts) for s, e, texts in reversed(chosen)]
-    doc, _ = apply_edits(d, edits)
-    return doc, True
+    return edits, True
 
 
 def _paraphrase_spans(d, params, rng, ctx):
     pieces = _partition_pieces(d)
     if not pieces:
-        return d, False
+        return [], False
     texts = [" ".join(t.text for t in d.tokens[s : e + 1]) for s, e, _ in pieces]
     seed = rng.getrandbits(32)
     try:
@@ -548,15 +541,14 @@ def _paraphrase_spans(d, params, rng, ctx):
         )
     except ProviderError as e:
         logger.warning("paraphrase provider failed, keeping %s unchanged: %s", d.id, e)
-        return d, True
+        return [], True
     edits = []
     for (s, e, _), original, rewrite in zip(pieces, texts, rewrites):
         words = _split_words(rewrite)
         if not words or rewrite == original:
             continue  # empty rewrite keeps the original text
         edits.append(ReplaceSpan(s, e, words))
-    doc, _ = apply_edits(d, list(reversed(edits)))
-    return doc, True
+    return edits[::-1], True
 
 
 def _model_word_replacement(d, params, rng, ctx):
@@ -565,10 +557,10 @@ def _model_word_replacement(d, params, rng, ctx):
         i for i in range(len(d.tokens)) if params["in_mentions"] or mask[i] is None
     ]
     if not eligible:
-        return d, False
+        return [], False
     selected = [i for i in eligible if rng.random() < params["p"]]
     if not selected:
-        return d, True
+        return [], True
     spans = {value: (s, e) for value, s, e in sentence_spans(d)}
     marked = []
     for i in selected:
@@ -583,15 +575,14 @@ def _model_word_replacement(d, params, rng, ctx):
         rewrites = ctx.provider.rewrite(marked, CONTEXTUAL, seed=seed)
     except ProviderError as e:
         logger.warning("contextual provider failed, keeping %s unchanged: %s", d.id, e)
-        return d, True
+        return [], True
     edits = []
     for i, rewrite in zip(selected, rewrites):
         words = _split_words(rewrite)
         if not words or words == (d.tokens[i].text,):
             continue
         edits.append(ReplaceSpan(i, i, words))
-    doc, _ = apply_edits(d, list(reversed(edits)))
-    return doc, True
+    return edits[::-1], True
 
 
 # --- registry ---------------------------------------------------------------
@@ -765,9 +756,10 @@ def apply_technique(
     """One synthetic document plus a no-op flag (True when the document
     offered no applicable site)."""
     technique, params = validate_config(cfg)
-    doc, had_candidates = technique.fn(d, params, rng, ctx)
+    edits, had_candidates = technique.fn(d, params, rng, ctx)
     if not had_candidates:
         logger.debug("technique %s is a no-op on document %s", technique.name, d.id)
+    doc, _ = apply_edits(d, edits)
     return doc, not had_candidates
 
 
