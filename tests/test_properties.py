@@ -2,6 +2,7 @@
 
 * Any list of edits keeps a document valid, keeps every mention, and
   conserves the multiset of (relation type, head id, tail id).
+* So does every technique, at any parameter values in its space.
 * A corpus survives serialize_corpus then parse_corpus unchanged.
 
 Generation is derandomized and the number of examples bounded, so these
@@ -9,7 +10,9 @@ tests are deterministic and take a few seconds.
 """
 
 from collections import Counter
+from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,12 +37,19 @@ from spanaug.edits import (
     apply_edits,
     sentence_spans,
 )
+from spanaug.lexicon import builtin_lexicon
+from spanaug.techniques import TECHNIQUES, TechniqueConfig, apply_technique, make_context
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 WORDS = ("the", "clerk", "checks", "order", ".", "and", "files", "it", ";")
 MENTION_TYPES = ("Actor", "Activity", "Data")
 RELATION_TYPES = ("Flow", "Uses")
+# WORDS plus sites for the lexicon-driven techniques: negated auxiliaries,
+# abbreviations in both forms, synonyms, antonyms, adjectives and commas
+SITE_WORDS = WORDS + (
+    "is", "not", "does", "n't", "CEO", "Human", "Resources", "approve", "valid", ",", "examine",
+)
 # any single character a token may hold: no whitespace, no control characters
 TOKEN_TEXT = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=5)
 
@@ -136,3 +146,21 @@ def corpora(draw):
 @given(corpora())
 def test_serialize_then_parse_round_trips(corpus):
     assert parse_corpus(serialize_corpus(corpus)) == corpus
+
+
+LEXICON = builtin_lexicon()
+
+
+@pytest.mark.parametrize("name", sorted(TECHNIQUES))
+@settings(PROPERTY, max_examples=60)
+@given(documents(words=st.sampled_from(SITE_WORDS)), st.integers(0, 2**32 - 1))
+def test_techniques_keep_documents_valid_and_relations_conserved(name, doc, seed):
+    rng = Random(seed)
+    params = TECHNIQUES[name].space.sample_uniform(rng)
+    cfg = TechniqueConfig(name, params, n_aug=params.pop("n_aug"))
+    result, _ = apply_technique(doc, cfg, rng, make_context([doc], LEXICON))
+    assert validate_document(result) == []
+    assert sorted((m.id, m.type) for m in result.mentions) == sorted(
+        (m.id, m.type) for m in doc.mentions
+    )
+    assert relation_multiset(result) == relation_multiset(doc)
