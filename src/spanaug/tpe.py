@@ -1,12 +1,12 @@
 """Tree-structured Parzen Estimator search over technique parameters,
 maximizing the cross-validation performance gain.
 
-The estimator splits past trials into a good set (the top gamma fraction
+The estimator splits past trials into a good set (the top GAMMA fraction
 by objective) and a bad set, fits independent per-dimension densities to
 each (truncated kernel mixtures for numeric dimensions, add-one smoothed
-frequencies for categorical ones), draws candidates from the good
-densities, and keeps the candidate with the largest good/bad density
-ratio. Until n_startup trials complete, parameters are drawn uniformly.
+frequencies for categorical ones), draws N_CANDIDATES candidates from the
+good densities, and keeps the one with the largest good/bad density ratio.
+Until N_STARTUP trials complete, parameters are drawn uniformly.
 """
 
 from __future__ import annotations
@@ -33,6 +33,13 @@ from .techniques import (
 )
 
 logger = logging.getLogger(__name__)
+
+GAMMA = 0.25
+N_CANDIDATES = 24
+# With at least N_STARTUP complete trials, the good set holds at least
+# ceil(GAMMA * 5) = 2 of them and the bad set at least 3, so neither
+# density is ever fitted to no observations.
+N_STARTUP = 5
 
 
 @dataclass(frozen=True)
@@ -76,16 +83,12 @@ class _NumericDensity:
     def __init__(self, values: Sequence[float], low: float, high: float):
         self.low, self.high = low, high
         self.centers = list(values)
-        self.bandwidth = (high - low) / max(len(self.centers), 1)
+        self.bandwidth = (high - low) / len(self.centers)
 
     def pdf(self, x: float) -> float:
-        if not self.centers:  # no observations: uniform prior
-            return 1.0 / (self.high - self.low)
         return _kernel_density(x, self.centers, self.bandwidth, self.low, self.high)
 
     def sample(self, rng: Random) -> float:
-        if not self.centers:
-            return rng.uniform(self.low, self.high)
         return _sample_kernel(rng, self.centers, self.bandwidth, self.low, self.high)
 
 
@@ -123,33 +126,21 @@ def _build_density(param, values):
     raise TypeError(f"unsupported parameter kind {type(param).__name__}")
 
 
-def suggest(
-    space: ParamSpace,
-    history: Sequence[TrialRecord],
-    rng: Random,
-    *,
-    gamma: float = 0.25,
-    n_candidates: int = 24,
-    n_startup: int = 5,
-) -> dict[str, Any]:
+def suggest(space: ParamSpace, history: Sequence[TrialRecord], rng: Random) -> dict[str, Any]:
     """Next parameter values to try, including n_aug.
 
-    Uniform draws until n_startup complete trials exist; afterwards the
-    good/bad density-ratio rule over the ceil(gamma*N) best objectives.
+    Uniform draws until N_STARTUP complete trials exist; afterwards the
+    good/bad density-ratio rule over the ceil(GAMMA*N) best objectives.
     """
     if not space:
         raise ValueError("empty parameter space")
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie strictly between 0 and 1")
-    if n_candidates < 1:
-        raise ValueError("n_candidates must be >= 1")
 
     complete = [t for t in history if t.status == "complete"]
-    if len(complete) < n_startup:
+    if len(complete) < N_STARTUP:
         return space.sample_uniform(rng)
 
     ranked = sorted(complete, key=lambda t: -t.objective)
-    n_good = math.ceil(gamma * len(complete))
+    n_good = math.ceil(GAMMA * len(complete))
     good, bad = ranked[:n_good], ranked[n_good:]
 
     dims = {}
@@ -160,7 +151,7 @@ def suggest(
 
     best_params = None
     best_score = -math.inf
-    for _ in range(n_candidates):
+    for _ in range(N_CANDIDATES):
         params = {}
         score = 0.0
         for name, (param, good_density, bad_density) in dims.items():
@@ -193,8 +184,9 @@ def optimize(
     cross-validation, feed the result back. Returns the config of
     best_trial(history) and the full trial log.
 
-    The unaugmented arm depends only on (corpus, folds, seed), so it is
-    computed once and cached across all trials.
+    The unaugmented arm's cache key is (k, seed, epochs, window, tasks),
+    none of which changes between trials, so it is computed once and
+    reused by every trial.
     """
     technique = resolve_technique(technique_id)
     if task not in ("md", "re"):

@@ -92,28 +92,9 @@ def test_suggest_is_deterministic():
     assert a == b
 
 
-def test_single_good_trial_does_not_crash():
-    # gamma small enough that the good set is a single trial
-    history = [record(i, {"x": i / 6}, float(i)) for i in range(6)]
-    rng = Random(6)
-    params = suggest(float_space(), history, rng, gamma=0.01)
-    assert 0.0 <= params["x"] <= 1.0
-
-
-def test_empty_bad_set_falls_back_to_uniform():
-    history = [record(i, {"x": 0.5}, 1.0) for i in range(5)]
-    rng = Random(7)
-    params = suggest(float_space(), history, rng, gamma=0.99)
-    assert 0.0 <= params["x"] <= 1.0
-
-
 def test_suggest_argument_validation():
     with pytest.raises(ValueError):
         suggest(ParamSpace(), [], Random(0))
-    with pytest.raises(ValueError):
-        suggest(float_space(), [], Random(0), gamma=1.5)
-    with pytest.raises(ValueError):
-        suggest(float_space(), [], Random(0), n_candidates=0)
 
 
 # --- optimization quality on a synthetic objective --------------------------------
