@@ -300,8 +300,7 @@ def _filler_word_insertion(d, params, rng, ctx):
         if rng.random() < params["p"]:
             phrase = fillers[rng.randrange(len(fillers))]
             chosen.append((p, _split_words(phrase)))
-    edits = [InsertTokens(p, words) for p, words in reversed(chosen)]
-    return edits, True
+    return [InsertTokens(p, words) for p, words in reversed(chosen)], True
 
 
 def _synonym_insertion(d, params, rng, ctx):
@@ -322,8 +321,7 @@ def _synonym_insertion(d, params, rng, ctx):
             chosen.append((i, _split_words(pick) + (d.tokens[i].text,)))
     # Replace token i with [synonym..., token]: inside a mention the
     # containment rule grows the span; elsewhere this equals an insertion.
-    edits = [ReplaceSpan(i, i, words) for i, words in reversed(chosen)]
-    return edits, True
+    return [ReplaceSpan(i, i, words) for i, words in reversed(chosen)], True
 
 
 def _lexicon_substitution(d, params, rng, ctx):
@@ -352,8 +350,7 @@ def _lexicon_substitution(d, params, rng, ctx):
     for i, options in chosen_sites:
         pick = match_case(options[rng.randrange(len(options))], d.tokens[i].text)
         chosen.append((i, _split_words(pick)))
-    edits = [ReplaceSpan(i, i, words) for i, words in reversed(chosen)]
-    return edits, True
+    return [ReplaceSpan(i, i, words) for i, words in reversed(chosen)], True
 
 
 def _auxiliary_negation_removal(d, params, rng, ctx):
@@ -368,8 +365,7 @@ def _auxiliary_negation_removal(d, params, rng, ctx):
     selected = [i for i in matches if rng.random() < params["p"]]
     # One delete per match so a rejection (emptying a mention) skips only
     # that occurrence.
-    edits = [DeleteTokens(frozenset({i})) for i in reversed(selected)]
-    return edits, True
+    return [DeleteTokens(frozenset({i})) for i in reversed(selected)], True
 
 
 def _abbreviation_matches(d: Document, lex: Lexicon) -> list[tuple[int, int, tuple[str, ...]]]:
@@ -410,8 +406,7 @@ def _abbreviation_toggle(d, params, rng, ctx):
     if not matches:
         return [], False
     chosen = [m for m in matches if rng.random() < params["p"]]
-    edits = [ReplaceSpan(s, e, words) for s, e, words in reversed(chosen)]
-    return edits, True
+    return [ReplaceSpan(s, e, words) for s, e, words in reversed(chosen)], True
 
 
 def _mention_replacement(d, params, rng, ctx):
@@ -428,8 +423,7 @@ def _mention_replacement(d, params, rng, ctx):
             candidates = [c for c in by_type[m.type] if c.id != m.id]
             donor = candidates[rng.randrange(len(candidates))]
             chosen.append((m, originals[donor.id]))
-    edits = [ReplaceSpan(m.start, m.end, texts) for m, texts in reversed(chosen)]
-    return edits, True
+    return [ReplaceSpan(m.start, m.end, texts) for m, texts in reversed(chosen)], True
 
 
 def _shuffle_within_segments(d, params, rng, ctx):
@@ -525,8 +519,7 @@ def _subsequence_substitution(d, params, rng, ctx):
             continue
         replacement = candidates[rng.randrange(len(candidates))]
         chosen.append((start, end, replacement))
-    edits = [ReplaceSpan(s, e, texts) for s, e, texts in reversed(chosen)]
-    return edits, True
+    return [ReplaceSpan(s, e, texts) for s, e, texts in reversed(chosen)], True
 
 
 def _paraphrase_spans(d, params, rng, ctx):
@@ -754,7 +747,8 @@ def apply_technique(
     d: Document, cfg: TechniqueConfig, rng, ctx: AugmentContext
 ) -> tuple[Document, bool]:
     """One synthetic document plus a no-op flag (True when the document
-    offered no applicable site)."""
+    offered no applicable site). The technique proposes the edits; this
+    is the one place they are applied."""
     technique, params = validate_config(cfg)
     edits, had_candidates = technique.fn(d, params, rng, ctx)
     if not had_candidates:
