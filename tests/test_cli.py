@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -226,6 +227,39 @@ def test_optimize_rerun_is_byte_identical(tmp_path, corpus_file):
     assert main(args + ["--out", str(tmp_path / "o1")]) == 0
     assert main(args + ["--out", str(tmp_path / "o2")]) == 0
     assert read_tree(tmp_path / "o1") == read_tree(tmp_path / "o2")
+
+
+# SHA-256 of trials.csv followed by best_config.json, recorded before the
+# tuner's configuration handling was refactored. With 7 trials the last
+# two are drawn from the TPE densities (categorical, float and int
+# dimensions, and n_aug), so any change to the draws shows here.
+OPTIMIZE_DIGESTS = {
+    "lexicon_substitution": "3e4312c3ac21184f40ee2948021fd2a6662db278a5603760a84c4ae0f0fd1a5e",
+    "sentence_reordering": "86e5c5a5447278b82b3ff87e1431c98d194585938e53f9190dc2097c49441efe",
+}
+
+
+@pytest.mark.parametrize("technique", sorted(OPTIMIZE_DIGESTS))
+def test_optimize_bytes_match_recorded_digest(technique, tmp_path, corpus20):
+    corpus = tmp_path / "corpus20.json"
+    save_corpus(corpus20, corpus)
+    out = tmp_path / "opt"
+    code = main(
+        [
+            "optimize",
+            "--corpus", str(corpus),
+            "--technique", technique,
+            "--task", "md",
+            "--trials", "7",
+            "--folds", "2",
+            "--epochs", "1",
+            "--seed", "0",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    payload = (out / "trials.csv").read_bytes() + (out / "best_config.json").read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == OPTIMIZE_DIGESTS[technique]
 
 
 def test_analyze_identical_corpora(tmp_path, corpus_file):
