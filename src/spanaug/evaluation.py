@@ -20,7 +20,7 @@ from .corpus import Corpus, Document, Mention, Relation
 from .lexicon import Lexicon
 from .providers import ParaphraseProvider
 from .seeding import derive_rng, derive_seed
-from .techniques import TechniqueConfig, augment_corpus, origin_id, validate_config
+from .techniques import TechniqueConfig, augment_corpus, origin_id
 
 TASKS = ("md", "re")
 
@@ -181,7 +181,7 @@ def cross_validate(
         raise ValueError(f"window must be >= 0, got {window}")
     folds = split_folds(len(corpus.documents), k, seed)
     if technique is not None:
-        validate_config(technique)
+        technique.resolved  # checks the config, so no fold trains first
 
     cache_key = ("baseline", k, seed, epochs, window, tuple(tasks))
     cached = baseline_cache.get(cache_key) if baseline_cache is not None else None

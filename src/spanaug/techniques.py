@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
 from .corpus import Corpus, Document, Mention
@@ -131,20 +132,32 @@ class ParamSpace(dict):
         return {name: param.sample(rng) for name, param in self.items()}
 
 
+N_AUG = IntParam(1, 5, 1)  # synthetic documents per original
+
+
 @dataclass(frozen=True)
 class TechniqueConfig:
-    """A technique plus parameter values; n_aug counts synthetic documents
-    generated per original."""
+    """A technique plus parameter values; n_aug, checked at construction,
+    counts synthetic documents generated per original."""
 
     technique_id: str
     params: Mapping[str, Any] = field(default_factory=dict)
     n_aug: int = 1
 
     def __post_init__(self):
-        if isinstance(self.n_aug, bool) or not isinstance(self.n_aug, int):
-            raise ConfigError(f"n_aug must be an integer, got {self.n_aug!r}")
-        if self.n_aug < 1:
-            raise ConfigError(f"n_aug must be >= 1, got {self.n_aug}")
+        # a dict of its own: mutating the caller's cannot stale resolved
+        object.__setattr__(self, "params", dict(self.params))
+        try:
+            N_AUG.check(self.n_aug)
+        except ConfigError as e:
+            raise ConfigError(f"parameter 'n_aug': {e}") from None
+
+    @cached_property
+    def resolved(self) -> tuple[Technique, dict[str, Any]]:
+        """The technique and its params with defaults filled in, checked
+        once, on first use."""
+        technique = resolve_technique(self.technique_id)
+        return technique, technique.space.validate(self.params)
 
 
 @dataclass
@@ -522,19 +535,27 @@ def _subsequence_substitution(d, params, rng, ctx):
     return [ReplaceSpan(s, e, texts) for s, e, texts in reversed(chosen)], True
 
 
+def _rewrite(d, texts, mode, rng, ctx, **options) -> list[str]:
+    """One rewrite per text from ctx.provider, seeded by one draw from rng;
+    no rewrites at all, with a warning, when the provider fails or answers
+    with a different number of rewrites, so d is kept unchanged."""
+    seed = rng.getrandbits(32)
+    try:
+        rewrites = ctx.provider.rewrite(texts, mode, seed=seed, **options)
+        if len(rewrites) != len(texts):
+            raise ProviderError(f"{len(rewrites)} rewrites for {len(texts)} texts")
+    except ProviderError as e:
+        logger.warning("%s provider failed, keeping %s unchanged: %s", mode, d.id, e)
+        return []
+    return rewrites
+
+
 def _paraphrase_spans(d, params, rng, ctx):
     pieces = _partition_pieces(d)
     if not pieces:
         return [], False
     texts = [" ".join(t.text for t in d.tokens[s : e + 1]) for s, e, _ in pieces]
-    seed = rng.getrandbits(32)
-    try:
-        rewrites = ctx.provider.rewrite(
-            texts, BACK_TRANSLATE, pivot=params["pivot"], seed=seed
-        )
-    except ProviderError as e:
-        logger.warning("paraphrase provider failed, keeping %s unchanged: %s", d.id, e)
-        return [], True
+    rewrites = _rewrite(d, texts, BACK_TRANSLATE, rng, ctx, pivot=params["pivot"])
     edits = []
     for (s, e, _), original, rewrite in zip(pieces, texts, rewrites):
         words = _split_words(rewrite)
@@ -563,12 +584,7 @@ def _model_word_replacement(d, params, rng, ctx):
             for j, t in enumerate(d.tokens[s : e + 1], start=s)
         ]
         marked.append(" ".join(words))
-    seed = rng.getrandbits(32)
-    try:
-        rewrites = ctx.provider.rewrite(marked, CONTEXTUAL, seed=seed)
-    except ProviderError as e:
-        logger.warning("contextual provider failed, keeping %s unchanged: %s", d.id, e)
-        return [], True
+    rewrites = _rewrite(d, marked, CONTEXTUAL, rng, ctx)
     edits = []
     for i, rewrite in zip(selected, rewrites):
         words = _split_words(rewrite)
@@ -581,7 +597,6 @@ def _model_word_replacement(d, params, rng, ctx):
 # --- registry ---------------------------------------------------------------
 
 _P = lambda: FloatParam(0.0, 1.0, 0.1)
-_NAUG = lambda: IntParam(1, 5, 1)
 
 
 @dataclass(frozen=True)
@@ -593,54 +608,48 @@ class Technique:
     identity_params: Mapping[str, Any] = field(default_factory=dict)
 
 
-def _space(**params) -> ParamSpace:
-    space = ParamSpace(params)
-    space["n_aug"] = _NAUG()
-    return space
-
-
 TECHNIQUES: dict[str, Technique] = {
     t.name: t
     for t in [
         Technique(
             "random_token_deletion",
             ("B.79", "random_deletion"),
-            _space(p=_P()),
+            ParamSpace(p=_P()),
             _random_token_deletion,
             identity_params={"p": 0.0},
         ),
         Technique(
             "random_token_insertion",
             ("random_insert",),
-            _space(n=IntParam(0, 10, 1)),
+            ParamSpace(n=IntParam(0, 10, 1)),
             _random_token_insertion,
             identity_params={"n": 0},
         ),
         Technique(
             "random_token_swap",
             ("random_swap",),
-            _space(s=IntParam(0, 10, 1)),
+            ParamSpace(s=IntParam(0, 10, 1)),
             _random_token_swap,
             identity_params={"s": 0},
         ),
         Technique(
             "filler_word_insertion",
             ("B.40",),
-            _space(p=_P(), in_mentions=CatParam((False, True), False)),
+            ParamSpace(p=_P(), in_mentions=CatParam((False, True), False)),
             _filler_word_insertion,
             identity_params={"p": 0.0},
         ),
         Technique(
             "synonym_insertion",
             ("B.100",),
-            _space(p=_P()),
+            ParamSpace(p=_P()),
             _synonym_insertion,
             identity_params={"p": 0.0},
         ),
         Technique(
             "lexicon_substitution",
             ("B.101", "B.3", "B.5"),
-            _space(
+            ParamSpace(
                 mode=CatParam(("synonym", "adjective_antonym", "antonym_even"), "synonym"),
                 p=_P(),
                 k=IntParam(0, 10, 1),
@@ -651,62 +660,62 @@ TECHNIQUES: dict[str, Technique] = {
         Technique(
             "auxiliary_negation_removal",
             ("B.6",),
-            _space(p=FloatParam(0.0, 1.0, 1.0)),
+            ParamSpace(p=FloatParam(0.0, 1.0, 1.0)),
             _auxiliary_negation_removal,
             identity_params={"p": 0.0},
         ),
         Technique(
             "abbreviation_toggle",
             ("B.82",),
-            _space(p=_P()),
+            ParamSpace(p=_P()),
             _abbreviation_toggle,
             identity_params={"p": 0.0},
         ),
         Technique(
             "mention_replacement",
             ("B.39",),
-            _space(p=_P()),
+            ParamSpace(p=_P()),
             _mention_replacement,
             identity_params={"p": 0.0},
         ),
         Technique(
             "shuffle_within_segments",
             ("B.90",),
-            _space(p=_P()),
+            ParamSpace(p=_P()),
             _shuffle_within_segments,
             identity_params={"p": 0.0},
         ),
         Technique(
             "sentence_reordering",
             ("B.88",),
-            _space(p=FloatParam(0.0, 1.0, 1.0), max_displacement=IntParam(0, 10, 0)),
+            ParamSpace(p=FloatParam(0.0, 1.0, 1.0), max_displacement=IntParam(0, 10, 0)),
             _sentence_reordering,
             identity_params={"p": 0.0},
         ),
         Technique(
             "sentence_concatenation",
             ("B.24",),
-            _space(n_merges=IntParam(0, 10, 1)),
+            ParamSpace(n_merges=IntParam(0, 10, 1)),
             _sentence_concatenation,
             identity_params={"n_merges": 0},
         ),
         Technique(
             "subsequence_substitution",
             ("B.103",),
-            _space(p=_P()),
+            ParamSpace(p=_P()),
             _subsequence_substitution,
             identity_params={"p": 0.0},
         ),
         Technique(
             "paraphrase_spans",
             ("B.8", "B.62", "back_translation"),
-            _space(pivot=CatParam(("de", "fr", "es"), "de")),
+            ParamSpace(pivot=CatParam(("de", "fr", "es"), "de")),
             _paraphrase_spans,
         ),
         Technique(
             "model_word_replacement",
             ("B.26", "B.106", "transformer_fill"),
-            _space(p=_P(), in_mentions=CatParam((False, True), False)),
+            ParamSpace(p=_P(), in_mentions=CatParam((False, True), False)),
             _model_word_replacement,
             identity_params={"p": 0.0},
         ),
@@ -733,23 +742,13 @@ def list_techniques() -> list[str]:
     return sorted(TECHNIQUES)
 
 
-def validate_config(cfg: TechniqueConfig) -> tuple[Technique, dict[str, Any]]:
-    technique = resolve_technique(cfg.technique_id)
-    values = dict(cfg.params)
-    values.setdefault("n_aug", cfg.n_aug)
-    params = technique.space.validate(values)
-    if params.pop("n_aug") != cfg.n_aug:
-        raise ConfigError("n_aug given both as a param and a config field, with different values")
-    return technique, params
-
-
 def apply_technique(
     d: Document, cfg: TechniqueConfig, rng, ctx: AugmentContext
 ) -> tuple[Document, bool]:
     """One synthetic document plus a no-op flag (True when the document
     offered no applicable site). The technique proposes the edits; this
     is the one place they are applied."""
-    technique, params = validate_config(cfg)
+    technique, params = cfg.resolved
     edits, had_candidates = technique.fn(d, params, rng, ctx)
     if not had_candidates:
         logger.debug("technique %s is a no-op on document %s", technique.name, d.id)
@@ -783,7 +782,7 @@ def augment_corpus(
     id, technique, replica), so no replica's output depends on any other.
     """
     documents = source.documents if isinstance(source, Corpus) else tuple(source)
-    technique, _ = validate_config(cfg)
+    technique, _ = cfg.resolved
     ctx = make_context(documents, lexicon, provider)
     out = []
     for d in documents:

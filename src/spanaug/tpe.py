@@ -23,8 +23,8 @@ from .lexicon import Lexicon
 from .providers import ParaphraseProvider, ProviderError
 from .seeding import derive_seed
 from .techniques import (
+    N_AUG,
     CatParam,
-    ConfigError,
     FloatParam,
     IntParam,
     ParamSpace,
@@ -61,24 +61,6 @@ def _cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2)))
 
 
-def _kernel_density(x: float, centers: Sequence[float], bandwidth: float, low: float, high: float) -> float:
-    """Mean of Gaussian kernels truncated and renormalized to [low, high]."""
-    total = 0.0
-    for mu in centers:
-        mass = _cdf((high - mu) / bandwidth) - _cdf((low - mu) / bandwidth)
-        total += _phi((x - mu) / bandwidth) / bandwidth / max(mass, 1e-12)
-    return total / len(centers)
-
-
-def _sample_kernel(rng: Random, centers: Sequence[float], bandwidth: float, low: float, high: float) -> float:
-    mu = centers[rng.randrange(len(centers))]
-    for _ in range(100):
-        x = rng.gauss(mu, bandwidth)
-        if low <= x <= high:
-            return x
-    return min(max(mu, low), high)
-
-
 class _NumericDensity:
     def __init__(self, values: Sequence[float], low: float, high: float):
         self.low, self.high = low, high
@@ -86,10 +68,21 @@ class _NumericDensity:
         self.bandwidth = (high - low) / len(self.centers)
 
     def pdf(self, x: float) -> float:
-        return _kernel_density(x, self.centers, self.bandwidth, self.low, self.high)
+        """Mean of Gaussian kernels truncated and renormalized to [low, high]."""
+        low, high, bandwidth = self.low, self.high, self.bandwidth
+        total = 0.0
+        for mu in self.centers:
+            mass = _cdf((high - mu) / bandwidth) - _cdf((low - mu) / bandwidth)
+            total += _phi((x - mu) / bandwidth) / bandwidth / max(mass, 1e-12)
+        return total / len(self.centers)
 
     def sample(self, rng: Random) -> float:
-        return _sample_kernel(rng, self.centers, self.bandwidth, self.low, self.high)
+        mu = self.centers[rng.randrange(len(self.centers))]
+        for _ in range(100):
+            x = rng.gauss(mu, self.bandwidth)
+            if self.low <= x <= self.high:
+                return x
+        return min(max(mu, self.low), self.high)
 
 
 class _CategoricalDensity:
@@ -114,10 +107,6 @@ class _CategoricalDensity:
         return self.choices[-1]
 
 
-def _config_value(config: TechniqueConfig, name: str):
-    return config.n_aug if name == "n_aug" else config.params[name]
-
-
 def _build_density(param, values):
     if isinstance(param, (FloatParam, IntParam)):
         return _NumericDensity([float(v) for v in values], param.low, param.high)
@@ -127,7 +116,8 @@ def _build_density(param, values):
 
 
 def suggest(space: ParamSpace, history: Sequence[TrialRecord], rng: Random) -> dict[str, Any]:
-    """Next parameter values to try, including n_aug.
+    """Next values for the dimensions of space, read from each trial's
+    full_params (its config's params plus n_aug).
 
     Uniform draws until N_STARTUP complete trials exist; afterwards the
     good/bad density-ratio rule over the ceil(GAMMA*N) best objectives.
@@ -145,8 +135,8 @@ def suggest(space: ParamSpace, history: Sequence[TrialRecord], rng: Random) -> d
 
     dims = {}
     for name, param in space.items():
-        good_density = _build_density(param, [_config_value(t.config, name) for t in good])
-        bad_density = _build_density(param, [_config_value(t.config, name) for t in bad])
+        good_density = _build_density(param, [t.full_params()[name] for t in good])
+        bad_density = _build_density(param, [t.full_params()[name] for t in bad])
         dims[name] = (param, good_density, bad_density)
 
     best_params = None
@@ -184,6 +174,10 @@ def optimize(
     cross-validation, feed the result back. Returns the config of
     best_trial(history) and the full trial log.
 
+    The search space is the technique's parameters followed by n_aug
+    (N_AUG). A trial whose provider fails is recorded as failed; any other
+    error propagates, since a config drawn from the space is valid.
+
     The unaugmented arm's cache key is (k, seed, epochs, window, tasks),
     none of which changes between trials, so it is computed once and
     reused by every trial.
@@ -201,9 +195,10 @@ def optimize(
     cv_seed = derive_seed(seed, "cv", technique.name, task)
     baseline_cache: dict = {}
 
+    space = ParamSpace(technique.space, n_aug=N_AUG)
     history: list[TrialRecord] = []
     for index in range(n_trials):
-        params = suggest(technique.space, history, rng)
+        params = suggest(space, history, rng)
         n_aug = params.pop("n_aug")
         config = TechniqueConfig(technique.name, params, n_aug=n_aug)
         try:
@@ -221,7 +216,7 @@ def optimize(
             )
             objective = report.tasks[task].gain
             history.append(TrialRecord(index, config, objective, "complete"))
-        except (ProviderError, ConfigError) as e:  # a failed trial is recorded, not fatal
+        except ProviderError as e:  # a failed trial is recorded, not fatal
             logger.warning("trial %d failed: %s", index, e)
             history.append(TrialRecord(index, config, None, "failed"))
     return best_trial(history).config, history

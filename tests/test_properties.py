@@ -157,7 +157,7 @@ LEXICON = builtin_lexicon()
 def test_techniques_keep_documents_valid_and_relations_conserved(name, doc, seed):
     rng = Random(seed)
     params = TECHNIQUES[name].space.sample_uniform(rng)
-    cfg = TechniqueConfig(name, params, n_aug=params.pop("n_aug"))
+    cfg = TechniqueConfig(name, params)
     result, _ = apply_technique(doc, cfg, rng, make_context([doc], LEXICON))
     assert validate_document(result) == []
     assert sorted((m.id, m.type) for m in result.mentions) == sorted(

@@ -27,9 +27,9 @@ from spanaug.techniques import (
     augment_corpus,
     list_techniques,
     make_context,
+    ParamSpace,
     origin_id,
     resolve_technique,
-    validate_config,
 )
 
 HOT_PARAMS = {
@@ -493,6 +493,24 @@ def test_paraphrase_degrades_to_identity_on_provider_failure(d1):
     assert out == d1
 
 
+class WrongLength(ParaphraseProvider):
+    """Rewrites every text to "foo" but answers with `extra` more (or
+    fewer) rewrites than it was given texts."""
+
+    def __init__(self, extra):
+        self.extra = extra
+
+    def rewrite(self, texts, mode, pivot=None, seed=0):
+        return ["foo"] * (len(texts) + self.extra)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_paraphrase_reply_of_wrong_length_keeps_document(extra, d1, caplog):
+    out, _ = run(d1, "paraphrase_spans", {}, provider=WrongLength(extra))
+    assert out == d1
+    assert "rewrites for 9 texts" in caplog.text
+
+
 # --- model word replacement -------------------------------------------------------------------
 
 
@@ -510,6 +528,14 @@ def test_model_replacement_fixed_word(d1):
     mention_positions = {i for m in d1.mentions for i in range(m.start, m.end + 1)}
     for i, t in enumerate(out.tokens):
         assert t.text == ("foo" if i not in mention_positions else d1.tokens[i].text)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_model_replacement_reply_of_wrong_length_keeps_document(extra, d1, caplog):
+    params = {"p": 1.0, "in_mentions": True}
+    out, _ = run(d1, "model_word_replacement", params, provider=WrongLength(extra))
+    assert out == d1
+    assert f"rewrites for {len(d1.tokens)} texts" in caplog.text
 
 
 def test_model_replacement_deterministic(d1):
@@ -543,11 +569,41 @@ def test_alias_lookup():
 
 def test_out_of_range_params_rejected(d1):
     with pytest.raises(ConfigError):
-        validate_config(TechniqueConfig("random_token_deletion", {"p": 1.5}))
+        TechniqueConfig("random_token_deletion", {"p": 1.5}).resolved
     with pytest.raises(ConfigError):
-        validate_config(TechniqueConfig("random_token_deletion", {"nope": 1}))
-    with pytest.raises(ConfigError):
-        TechniqueConfig("random_token_deletion", {}, n_aug=0)
+        TechniqueConfig("random_token_deletion", {"nope": 1}).resolved
+    for n_aug in (0, 6):  # rejected at construction
+        with pytest.raises(ConfigError, match="n_aug"):
+            TechniqueConfig("random_token_deletion", {}, n_aug=n_aug)
+
+
+def test_n_aug_is_not_a_technique_parameter():
+    assert not [name for name, t in TECHNIQUES.items() if "n_aug" in t.space]
+    with pytest.raises(ConfigError, match="unknown parameter"):
+        TechniqueConfig("random_token_deletion", {"n_aug": 1}).resolved
+
+
+def test_config_keeps_its_own_copy_of_params():
+    params = {"p": 0.5}
+    cfg = TechniqueConfig("random_token_deletion", params)
+    params["p"] = 0.9
+    assert cfg.params == {"p": 0.5}
+    assert cfg.resolved[1] == {"p": 0.5}
+
+
+def test_augment_corpus_validates_the_config_once(monkeypatch, corpus20):
+    calls = []
+    validate = ParamSpace.validate
+
+    def counting(self, values):
+        calls.append(values)
+        return validate(self, values)
+
+    monkeypatch.setattr(ParamSpace, "validate", counting)
+    cfg = TechniqueConfig("random_token_deletion", {"p": 0.5}, n_aug=2)
+    out = augment_corpus(corpus20.documents[:3], cfg, 0)
+    assert len(out) == 6
+    assert len(calls) == 1
 
 
 def test_n_aug_produces_suffixed_documents(d1):

@@ -4,7 +4,14 @@ import pytest
 
 from spanaug.evaluation import TaskGain
 from spanaug.providers import ProviderError
-from spanaug.techniques import CatParam, FloatParam, IntParam, ParamSpace, TechniqueConfig
+from spanaug.techniques import (
+    CatParam,
+    ConfigError,
+    FloatParam,
+    IntParam,
+    ParamSpace,
+    TechniqueConfig,
+)
 from spanaug.tpe import TrialRecord, best_trial, optimize, suggest
 
 
@@ -223,6 +230,15 @@ def test_optimize_lets_a_programming_error_propagate(monkeypatch, corpus20):
 
     monkeypatch.setattr("spanaug.tpe.cross_validate", fake_cross_validate(broken))
     with pytest.raises(RuntimeError, match="training fold"):
+        optimize("random_token_deletion", corpus20, "md", n_trials=3, seed=3)
+
+
+def test_optimize_lets_a_config_error_propagate(monkeypatch, corpus20):
+    def invalid(config):
+        raise ConfigError("parameter 'p': value 2 outside [0.0, 1.0]")
+
+    monkeypatch.setattr("spanaug.tpe.cross_validate", fake_cross_validate(invalid))
+    with pytest.raises(ConfigError, match="outside"):
         optimize("random_token_deletion", corpus20, "md", n_trials=3, seed=3)
 
 
