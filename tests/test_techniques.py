@@ -21,13 +21,13 @@ from spanaug.providers import ParaphraseProvider, ProviderError, StubProvider, i
 from spanaug.techniques import (
     TECHNIQUES,
     ConfigError,
+    ParamSpace,
     TechniqueConfig,
     UnknownTechniqueError,
     apply_technique,
     augment_corpus,
     list_techniques,
     make_context,
-    ParamSpace,
     origin_id,
     resolve_technique,
 )
