@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -277,17 +278,21 @@ def random_edit(rng: Random, doc: Document):
     return MergeSentences(rng.randrange(sentences - 1))
 
 
+def random_edit_list(rng: Random, original: Document) -> list:
+    edits = [random_edit(rng, original)]
+    # grow the list step by step so indices stay in range of the folded doc
+    for _ in range(rng.randint(0, 4)):
+        doc_now, _ = apply_edits(original, edits)
+        if doc_now.tokens:
+            edits.append(random_edit(rng, doc_now))
+    return edits
+
+
 def test_random_edit_lists_preserve_validity():
     rng = Random(99)
     for i in range(120):
-        doc = random_fixture_document(f"v{i}", rng)
-        original = doc
-        edits = [random_edit(rng, doc) for _ in range(1)]
-        # grow the list step by step so indices stay in range of the folded doc
-        for _ in range(rng.randint(0, 4)):
-            doc_now, _ = apply_edits(original, edits)
-            if doc_now.tokens:
-                edits.append(random_edit(rng, doc_now))
+        original = random_fixture_document(f"v{i}", rng)
+        edits = random_edit_list(rng, original)
         result, report = apply_edits(original, edits)
         assert validate_document(result) == []
         assert len(result.mentions) == len(original.mentions)
@@ -299,6 +304,20 @@ def test_random_edit_lists_preserve_validity():
             shrunk += step.mentions_shrunk
             rejected += step.rejected
         assert (doc, report) == (result, RemapReport(tuple(shrunk), tuple(rejected)))
+
+
+# Recorded from the engine whose appliers each rebuilt their own mention
+# list; any change to a remap, shrink or rejection rule changes it.
+EDIT_ENGINE_DIGEST = "d6326c71c49dbd974ca0afdefcbce5b436bee94f2006c381e7b90a729132c37c"
+
+
+def test_random_edit_lists_match_recorded_digest():
+    rng = Random(2024)
+    digest = hashlib.sha256()
+    for i in range(300):
+        original = random_fixture_document(f"g{i}", rng)
+        digest.update(repr(apply_edits(original, random_edit_list(rng, original))).encode())
+    assert digest.hexdigest() == EDIT_ENGINE_DIGEST
 
 
 def test_reimporting_the_package_keeps_no_old_copy_alive():
