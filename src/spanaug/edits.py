@@ -5,36 +5,41 @@ here, so label safety is enforced in one place: an edit either produces a
 document whose mentions and relations are exactly remapped, or it is
 rejected and the document returned unchanged. Rejection, never corruption.
 
-Remapping rules:
+Remapping rule: each edit decides only the new tokens and two index
+maps, start_of and end_of, that say where a mention's start and end go.
+apply_edit moves every mention to [start_of(start), end_of(end)], and a
+mention that comes out shorter than it went in has shrunk. The maps:
 
-* InsertTokens at position p shifts spans at >= p right; an insertion
-  strictly inside a mention (start < p <= end) extends that mention, an
-  insertion at either boundary does not. Inserted tokens join the sentence
-  of the token at p, or the last sentence when p is the end of the
-  document.
-* DeleteTokens shifts later spans left. Deleting a strict subset of a
-  mention's tokens shrinks it; an edit that would delete every token of
-  some mention is rejected whole.
-* ReplaceSpan acts as delete-then-insert at the same position. A replaced
-  span contained in one mention keeps that mention covering the
-  replacement (the span may grow or shrink); a replacement straddling a
-  mention boundary, or swallowing a mention it does not coincide with,
-  is rejected.
+* InsertTokens of k tokens at position p maps i to i + k when i >= p, for
+  both ends, so an insertion strictly inside a mention (start < p <= end)
+  extends it and an insertion at either boundary does not. Inserted
+  tokens join the sentence of the token at p, or the last sentence when
+  p is the end of the document.
+* DeleteTokens maps a start to its first surviving token and an end to
+  its last, so deleting a strict subset of a mention's tokens shrinks it;
+  an edit that would delete every token of some mention is rejected whole.
+* ReplaceSpan [s, e] shifts indices after the span by the change in
+  length; a mention covering the span keeps its start and covers the
+  replacement (growing or shrinking). A replacement straddling a mention
+  boundary, swallowing a mention it does not coincide with, or changing
+  length across a sentence boundary is rejected.
 * SwapTokens exchanges two token texts when both lie outside all mentions
-  or both inside the same mention; anything else is rejected.
+  or both inside the same mention (no index moves); else it is rejected.
 * PermuteSentences reorders whole sentences and renumbers them 0..n-1;
   within a sentence relative token order is preserved.
 * MergeSentences joins sentence k+1 onto sentence k, deleting the
   sentence-final token of k when its text is in MERGE_PUNCTUATION and it
-  lies outside all mentions.
+  lies outside all mentions (later indices shift left by one).
 
-Each edit returns a RemapReport naming the mentions it shrank and, if it
-was rejected, why; apply_edits concatenates these in edit order.
+apply_edit returns a RemapReport naming the mentions the edit shrank and,
+if it was rejected, why; apply_edits concatenates these in edit order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Document, Mention, Token
@@ -103,11 +108,14 @@ class RemapReport:
     rejected: tuple[RejectedEdit, ...] = ()
 
 
-_CLEAN = RemapReport()
+class _Rejected(Exception):
+    """Raised, with the reason, by an applier that cannot keep the labels."""
 
 
-def _rejected(d: Document, e: Edit, reason: str) -> tuple[Document, RemapReport]:
-    return d, RemapReport(rejected=(RejectedEdit(e, reason),))
+_IndexMap = Callable[[int], int]
+# What an applier decides: the new tokens, and where a mention's start and
+# its end go (both None when no mention moves).
+_Applied = tuple[tuple[Token, ...], _IndexMap | None, _IndexMap | None]
 
 
 def _check_texts(texts: Sequence[str]) -> tuple[str, ...]:
@@ -152,80 +160,58 @@ def mention_owner(d: Document, index: int) -> Mention | None:
     return None
 
 
-def _insert(d: Document, e: InsertTokens) -> tuple[Document, RemapReport]:
+def _insert(d: Document, e: InsertTokens) -> _Applied:
     n = len(d.tokens)
     if not 0 <= e.position <= n:
         raise EditError(f"insert position {e.position} out of range 0..{n}")
     texts = _check_texts(e.texts)
-    if not texts:
-        return d, _CLEAN
-    k = len(texts)
-    p = e.position
-
+    p, k = e.position, len(texts)
     sentence = d.tokens[min(p, n - 1)].sentence if n else 0
-
     tokens = d.tokens[:p] + tuple(Token(t, sentence) for t in texts) + d.tokens[p:]
-    mentions = []
-    for m in d.mentions:
-        if p <= m.start:
-            mentions.append(replace(m, start=m.start + k, end=m.end + k))
-        elif p <= m.end:  # strictly inside: start < p <= end
-            mentions.append(replace(m, end=m.end + k))
-        else:
-            mentions.append(m)
-    return Document(d.id, tokens, tuple(mentions), d.relations), _CLEAN
+
+    def shift(i: int) -> int:
+        return i + k if i >= p else i
+
+    return tokens, shift, shift
 
 
-def _delete(d: Document, e: DeleteTokens) -> tuple[Document, RemapReport]:
+def _delete(d: Document, e: DeleteTokens) -> _Applied:
     n = len(d.tokens)
-    positions = set(e.positions)
-    for p in positions:
+    for p in e.positions:
         if not 0 <= p < n:
             raise EditError(f"delete position {p} out of range 0..{n - 1}")
-    if not positions:
-        return d, _CLEAN
+    gone = sorted(e.positions)
+
+    def first_survivor(i: int) -> int:
+        return i - bisect_left(gone, i)
+
+    def last_survivor(i: int) -> int:
+        return i - bisect_right(gone, i)
 
     for m in d.mentions:
-        span = set(range(m.start, m.end + 1))
-        if span <= positions:
-            return _rejected(d, e, f"would delete every token of mention {m.id}")
-
-    index_map: dict[int, int] = {}
-    new = 0
-    for i in range(n):
-        if i not in positions:
-            index_map[i] = new
-            new += 1
-    tokens = tuple(t for i, t in enumerate(d.tokens) if i not in positions)
-    mentions = []
-    shrunk = []
-    for m in d.mentions:
-        survivors = [i for i in range(m.start, m.end + 1) if i not in positions]
-        if len(survivors) < m.length:
-            shrunk.append(m.id)
-        mentions.append(replace(m, start=index_map[survivors[0]], end=index_map[survivors[-1]]))
-    doc = Document(d.id, tokens, tuple(mentions), d.relations)
-    return doc, RemapReport(tuple(shrunk))
+        if last_survivor(m.end) < first_survivor(m.start):
+            raise _Rejected(f"would delete every token of mention {m.id}")
+    tokens = tuple(t for i, t in enumerate(d.tokens) if i not in e.positions)
+    return tokens, first_survivor, last_survivor
 
 
-def _replace_span(d: Document, e: ReplaceSpan) -> tuple[Document, RemapReport]:
+def _replace_span(d: Document, e: ReplaceSpan) -> _Applied:
     n = len(d.tokens)
     if not (0 <= e.start <= e.end < n):
         raise EditError(f"replace span [{e.start},{e.end}] out of range for {n} tokens")
     texts = _check_texts(e.texts)
     if not texts:
         raise EditError("replacement texts must be non-empty")
-    old_len = e.end - e.start + 1
-    delta = len(texts) - old_len
+    s, delta = e.start, len(texts) - (e.end - e.start + 1)
 
     for m in d.mentions:
         straddles_left = m.start < e.start <= m.end < e.end
         straddles_right = e.start < m.start <= e.end < m.end
         if straddles_left or straddles_right:
-            return _rejected(d, e, f"replacement straddles a boundary of mention {m.id}")
+            raise _Rejected(f"replacement straddles a boundary of mention {m.id}")
         swallowed = e.start <= m.start and m.end <= e.end and not (m.start <= e.start and e.end <= m.end)
         if swallowed:
-            return _rejected(d, e, f"replacement would swallow mention {m.id}")
+            raise _Rejected(f"replacement would swallow mention {m.id}")
 
     sentences = {t.sentence for t in d.tokens[e.start : e.end + 1]}
     if len(sentences) == 1:
@@ -236,80 +222,68 @@ def _replace_span(d: Document, e: ReplaceSpan) -> tuple[Document, RemapReport]:
             Token(t, d.tokens[e.start + i].sentence) for i, t in enumerate(texts)
         )
     else:
-        return _rejected(d, e, "length-changing replacement across a sentence boundary")
+        raise _Rejected("length-changing replacement across a sentence boundary")
 
-    tokens = d.tokens[: e.start] + new_tokens + d.tokens[e.end + 1 :]
-    mentions = []
-    shrunk = []
-    for m in d.mentions:
-        if m.end < e.start:
-            mentions.append(m)
-        elif m.start <= e.start and e.end <= m.end:  # mention covers the replacement
-            if delta < 0:
-                shrunk.append(m.id)
-            mentions.append(replace(m, end=m.end + delta))
-        else:  # entirely after the replaced span
-            mentions.append(replace(m, start=m.start + delta, end=m.end + delta))
-    doc = Document(d.id, tokens, tuple(mentions), d.relations)
-    return doc, RemapReport(tuple(shrunk))
+    # a mention covering the replacement keeps its start and moves its end
+    def start_of(i: int) -> int:
+        return i if i <= s else i + delta
+
+    def end_of(i: int) -> int:
+        return i if i < s else i + delta
+
+    return d.tokens[: e.start] + new_tokens + d.tokens[e.end + 1 :], start_of, end_of
 
 
-def _swap(d: Document, e: SwapTokens) -> tuple[Document, RemapReport]:
+def _swap(d: Document, e: SwapTokens) -> _Applied:
     n = len(d.tokens)
     for p in (e.i, e.j):
         if not 0 <= p < n:
             raise EditError(f"swap position {p} out of range 0..{n - 1}")
-    if e.i == e.j:
-        return d, _CLEAN
-    mi, mj = mention_owner(d, e.i), mention_owner(d, e.j)
-    if mi is not mj:
-        return _rejected(d, e, "tokens belong to different mention/non-mention regions")
+    if mention_owner(d, e.i) is not mention_owner(d, e.j):
+        raise _Rejected("tokens belong to different mention/non-mention regions")
     tokens = list(d.tokens)
     ti, tj = tokens[e.i], tokens[e.j]
     tokens[e.i] = Token(tj.text, ti.sentence)
     tokens[e.j] = Token(ti.text, tj.sentence)
-    return Document(d.id, tuple(tokens), d.mentions, d.relations), _CLEAN
+    return tuple(tokens), None, None
 
 
-def _permute(d: Document, e: PermuteSentences) -> tuple[Document, RemapReport]:
+def _permute(d: Document, e: PermuteSentences) -> _Applied:
     spans = sentence_spans(d)
     if sorted(e.order) != list(range(len(spans))):
         raise EditError(
             f"order {e.order} is not a permutation of {len(spans)} sentence positions"
         )
     tokens: list[Token] = []
-    index_map: dict[int, int] = {}
+    index_of = [0] * len(d.tokens)
     for new_pos, old_pos in enumerate(e.order):
         _, s, t = spans[old_pos]
         for old_index in range(s, t + 1):
-            index_map[old_index] = len(tokens)
+            index_of[old_index] = len(tokens)
             tokens.append(Token(d.tokens[old_index].text, new_pos))
-    mentions = tuple(
-        replace(m, start=index_map[m.start], end=index_map[m.end]) for m in d.mentions
-    )
-    return Document(d.id, tuple(tokens), mentions, d.relations), _CLEAN
+    return tuple(tokens), index_of.__getitem__, index_of.__getitem__
 
 
-def _merge(d: Document, e: MergeSentences) -> tuple[Document, RemapReport]:
+def _merge(d: Document, e: MergeSentences) -> _Applied:
     spans = sentence_spans(d)
     if not 0 <= e.first < len(spans) - 1:
         raise EditError(
             f"sentence position {e.first} has no following sentence to merge"
         )
     first_value, _, first_end = spans[e.first]
-    second_value, second_start, second_end = spans[e.first + 1]
+    _, second_start, second_end = spans[e.first + 1]
 
-    doc = d
-    last = d.tokens[first_end]
-    if last.text in MERGE_PUNCTUATION and mention_owner(d, first_end) is None:
-        doc, _ = _delete(d, DeleteTokens(frozenset({first_end})))  # a free token: nothing shrinks
-        second_start -= 1
-        second_end -= 1
-
-    tokens = list(doc.tokens)
+    tokens = list(d.tokens)
     for i in range(second_start, second_end + 1):
         tokens[i] = Token(tokens[i].text, first_value)
-    return Document(doc.id, tuple(tokens), doc.mentions, doc.relations), _CLEAN
+    if tokens[first_end].text not in MERGE_PUNCTUATION or mention_owner(d, first_end) is not None:
+        return tuple(tokens), None, None
+    del tokens[first_end]  # a free token: nothing shrinks
+
+    def shift(i: int) -> int:
+        return i - 1 if i > first_end else i
+
+    return tuple(tokens), shift, shift
 
 
 _APPLIERS = {
@@ -330,7 +304,21 @@ def apply_edit(d: Document, e: Edit) -> tuple[Document, RemapReport]:
         applier = _APPLIERS[type(e)]
     except KeyError:
         raise EditError(f"unknown edit type {type(e).__name__}") from None
-    return applier(d, e)
+    try:
+        tokens, start_of, end_of = applier(d, e)
+    except _Rejected as rejected:
+        return d, RemapReport(rejected=(RejectedEdit(e, rejected.args[0]),))
+    if start_of is None:
+        return Document(d.id, tokens, d.mentions, d.relations), RemapReport()
+    mentions = []
+    shrunk = []
+    for m in d.mentions:
+        start, end = start_of(m.start), end_of(m.end)
+        if end - start < m.end - m.start:
+            shrunk.append(m.id)
+        moved = start != m.start or end != m.end
+        mentions.append(Mention(m.id, m.type, start, end) if moved else m)
+    return Document(d.id, tokens, tuple(mentions), d.relations), RemapReport(tuple(shrunk))
 
 
 def apply_edits(d: Document, edits: Sequence[Edit]) -> tuple[Document, RemapReport]:

@@ -2,6 +2,7 @@
 
 * Any list of edits keeps a document valid, keeps every mention, and
   conserves the multiset of (relation type, head id, tail id).
+* An applied edit keeps the token texts of every mention it does not touch.
 * So does every technique, at any parameter values in its space.
 * A corpus survives serialize_corpus then parse_corpus unchanged.
 
@@ -13,7 +14,7 @@ from collections import Counter
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spanaug.corpus import (
@@ -133,6 +134,33 @@ def test_edit_lists_keep_documents_valid_and_relations_conserved(case):
         (m.id, m.type) for m in original.mentions
     )
     assert relation_multiset(result) == relation_multiset(original)
+
+
+def untouched(edit, m: Mention) -> bool:
+    """Whether edit leaves every token of m in place: it inserts nowhere
+    strictly inside m, and deletes, replaces and swaps no token of m.
+    Permuting and merging sentences touch no mention."""
+    if isinstance(edit, InsertTokens):
+        return not m.start < edit.position <= m.end
+    if isinstance(edit, DeleteTokens):
+        return not any(m.start <= p <= m.end for p in edit.positions)
+    if isinstance(edit, ReplaceSpan):
+        return edit.end < m.start or m.end < edit.start
+    if isinstance(edit, SwapTokens):
+        return not any(m.start <= p <= m.end for p in (edit.i, edit.j))
+    return True
+
+
+@PROPERTY
+@given(st.data())
+def test_an_applied_edit_keeps_the_texts_of_mentions_it_does_not_touch(data):
+    doc = data.draw(documents())
+    edit = data.draw(edits_for(doc))
+    result, report = apply_edit(doc, edit)
+    assume(not report.rejected)
+    for m in doc.mentions:
+        if untouched(edit, m):
+            assert result.mention_texts(result.mention_by_id(m.id)) == doc.mention_texts(m)
 
 
 @st.composite
