@@ -20,7 +20,7 @@ from .corpus import Corpus, Document, Mention, Relation
 from .lexicon import Lexicon
 from .providers import ParaphraseProvider
 from .seeding import derive_rng, derive_seed
-from .techniques import TechniqueConfig, augment_corpus, origin_id
+from .techniques import TechniqueConfig, augment_corpus
 
 TASKS = ("md", "re")
 
@@ -209,7 +209,9 @@ def cross_validate(
             provider=provider,
         )
         train_ids = {d.id for d in train_docs}
-        leaked = [s.id for s in synthetic if origin_id(s.id) not in train_ids]
+        # a synthetic id is its direct parent's id plus "-augN"; the parent
+        # may itself be synthetic when the corpus is augment output
+        leaked = [s.id for s in synthetic if s.id.rpartition("-aug")[0] not in train_ids]
         if leaked:
             raise RuntimeError(f"synthetic documents not derived from the training fold: {leaked}")
         augmented_folds.append(arm(train_docs + synthetic))

@@ -188,6 +188,28 @@ def test_evaluate_with_technique_single_task(tmp_path, corpus_file):
     assert "md" in report["tasks"] and "re" not in report["tasks"]
 
 
+def test_evaluate_runs_on_augment_output(tmp_path, corpus_file):
+    # augmented.json holds doc-N and doc-N-aug1; augmenting a training fold
+    # that holds doc-N-aug1 makes doc-N-aug1-aug1 even when doc-N is tested
+    aug = tmp_path / "aug"
+    argv = ["--technique", "random_token_swap", "--params", "s=2"]
+    assert main(["augment", "--corpus", str(corpus_file), *argv, "n_aug=1", "--seed", "5", "--out", str(aug)]) == 0
+    for seed in ("1", "2"):
+        code = main(
+            [
+                "evaluate",
+                "--corpus", str(aug / "augmented.json"),
+                *argv,
+                "--task", "md",
+                "--folds", "3",
+                "--epochs", "1",
+                "--seed", seed,
+                "--out", str(tmp_path / f"eval{seed}"),
+            ]
+        )
+        assert code == 0
+
+
 def test_optimize_emits_trial_rows_and_best_config(tmp_path, corpus_file):
     out = tmp_path / "opt"
     code = main(

@@ -1,3 +1,4 @@
+import dataclasses
 from random import Random
 
 import pytest
@@ -237,6 +238,18 @@ def test_cross_validate_rejects_window_and_workers_before_training(
     monkeypatch.setattr("spanaug.evaluation.train_relations", no_training)
     with pytest.raises(ValueError, match=message):
         cross_validate(corpus20, k=4, seed=0, **kwargs)
+
+
+def test_cross_validate_rejects_synthetic_documents_from_the_test_fold(monkeypatch, corpus20):
+    def from_a_test_document(train_docs, technique, seed, **kw):
+        train_ids = {d.id for d in train_docs}
+        tested = next(d for d in corpus20.documents if d.id not in train_ids)
+        return [dataclasses.replace(tested, id=f"{tested.id}-aug1")]
+
+    monkeypatch.setattr("spanaug.evaluation.augment_corpus", from_a_test_document)
+    cfg = TechniqueConfig("random_token_swap", {"s": 2})
+    with pytest.raises(RuntimeError, match="not derived from the training fold"):
+        cross_validate(corpus20, k=4, technique=cfg, seed=0, tasks=("md",), epochs=1)
 
 
 def test_baseline_cache_reused(corpus20):
