@@ -104,17 +104,13 @@ class GainReport:
     tasks: dict[str, TaskGain] = field(default_factory=dict)
 
 
-def check_folds(n_documents: int, k: int) -> None:
+def split_folds(n_documents: int, k: int, seed: int) -> list[list[int]]:
+    """Seeded shuffle then round-robin striding; every document lands in
+    exactly one fold and fold sizes differ by at most one."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > n_documents:
         raise ValueError(f"cannot split {n_documents} documents into {k} folds")
-
-
-def split_folds(n_documents: int, k: int, seed: int) -> list[list[int]]:
-    """Seeded shuffle then round-robin striding; every document lands in
-    exactly one fold and fold sizes differ by at most one."""
-    check_folds(n_documents, k)
     order = list(range(n_documents))
     derive_rng(seed, "folds").shuffle(order)
     return [order[i::k] for i in range(k)]

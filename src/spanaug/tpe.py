@@ -18,7 +18,7 @@ from random import Random
 from typing import Any, Sequence
 
 from .corpus import Corpus
-from .evaluation import check_folds, cross_validate
+from .evaluation import cross_validate
 from .lexicon import Lexicon
 from .providers import ParaphraseProvider, ProviderError
 from .seeding import derive_seed
@@ -176,21 +176,16 @@ def optimize(
 
     The search space is the technique's parameters followed by n_aug
     (N_AUG). A trial whose provider fails is recorded as failed; any other
-    error propagates, since a config drawn from the space is valid.
+    error propagates, since a config drawn from the space is valid. So a
+    bad task, k, epochs or window fails the first trial before it trains.
 
     The unaugmented arm's cache key is (k, seed, epochs, window, tasks),
     none of which changes between trials, so it is computed once and
     reused by every trial.
     """
     technique = resolve_technique(technique_id)
-    if task not in ("md", "re"):
-        raise ValueError(f"task must be 'md' or 're', got {task!r}")
-    # Arguments that would fail every trial are usage errors, not trials.
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    check_folds(len(corpus.documents), k)
     rng = Random(derive_seed(seed, "tpe", technique.name, task))
     cv_seed = derive_seed(seed, "cv", technique.name, task)
     baseline_cache: dict = {}
