@@ -177,10 +177,11 @@ def _insert(d: Document, e: InsertTokens) -> _Applied:
 
 def _delete(d: Document, e: DeleteTokens) -> _Applied:
     n = len(d.tokens)
-    for p in e.positions:
+    positions = set(e.positions)
+    for p in positions:
         if not 0 <= p < n:
             raise EditError(f"delete position {p} out of range 0..{n - 1}")
-    gone = sorted(e.positions)
+    gone = sorted(positions)
 
     def first_survivor(i: int) -> int:
         return i - bisect_left(gone, i)
@@ -191,7 +192,7 @@ def _delete(d: Document, e: DeleteTokens) -> _Applied:
     for m in d.mentions:
         if last_survivor(m.end) < first_survivor(m.start):
             raise _Rejected(f"would delete every token of mention {m.id}")
-    tokens = tuple(t for i, t in enumerate(d.tokens) if i not in e.positions)
+    tokens = tuple(t for i, t in enumerate(d.tokens) if i not in positions)
     return tokens, first_survivor, last_survivor
 
 
@@ -276,7 +277,8 @@ def _merge(d: Document, e: MergeSentences) -> _Applied:
     tokens = list(d.tokens)
     for i in range(second_start, second_end + 1):
         tokens[i] = Token(tokens[i].text, first_value)
-    if tokens[first_end].text not in MERGE_PUNCTUATION or mention_owner(d, first_end) is not None:
+    last = d.tokens[first_end]
+    if last.text not in MERGE_PUNCTUATION or mention_owner(d, first_end) is not None:
         return tuple(tokens), None, None
     del tokens[first_end]  # a free token: nothing shrinks
 
