@@ -65,7 +65,7 @@ def _build_config(technique_id: str, pairs) -> TechniqueConfig:
 
 
 def _load_inputs(args):
-    # --workers has no effect yet, but a value below 1 is still a usage error
+    # checked for every command, also for augment, which ignores --workers
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
     corpus = load_corpus(args.corpus)
@@ -146,6 +146,7 @@ def cmd_evaluate(args) -> dict[str, bytes]:
         window=args.window,
         lexicon=lexicon,
         provider=provider,
+        workers=args.workers,
     )
     header = ("technique_id", "task", "baseline_f1", "augmented_f1", "gain")
     rows = [
@@ -171,6 +172,7 @@ def cmd_optimize(args) -> dict[str, bytes]:
         window=args.window,
         lexicon=lexicon,
         provider=provider,
+        workers=args.workers,
     )
     best = best_trial(history)
     best_obj = {
@@ -223,7 +225,13 @@ def _add_common(parser, *, seed: bool = True) -> None:
         )
         parser.add_argument("--lexicon", default=None, help="lexicon directory (default: bundled)")
         parser.add_argument(
-            "--workers", type=int, default=1, help="accepted, no effect yet (must be >= 1)"
+            "--workers",
+            type=int,
+            default=1,
+            metavar="N",
+            help="evaluate and optimize: run the fold arms in N lanes, the calling process "
+            "and at most N-1 child processes; outputs are identical at any N; augment "
+            "ignores it (must be >= 1)",
         )
 
 

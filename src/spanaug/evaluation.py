@@ -6,6 +6,7 @@ synthetic documents added, scored on the untouched test fold.
 
 from __future__ import annotations
 
+import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -16,7 +17,7 @@ from .baselines import (
     train_relations,
     train_tagger,
 )
-from .corpus import Corpus, Document, Mention, Relation
+from .corpus import Corpus, Mention, Relation
 from .lexicon import Lexicon
 from .providers import ParaphraseProvider
 from .seeding import derive_rng, derive_seed
@@ -120,26 +121,60 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _evaluate_arm(
-    train_docs: Sequence[Document],
-    test_docs: Sequence[Document],
-    base: Corpus,
-    tasks: Sequence[str],
-    epochs: int,
-    window: int,
-    seed: int,
-) -> dict[str, float]:
-    train = Corpus(tuple(train_docs), base.mention_types, base.relation_types)
+@dataclass(frozen=True)
+class _Experiment:
+    """The inputs every arm of one cross_validate call reads and none
+    changes."""
+
+    corpus: Corpus
+    folds: list[list[int]]
+    technique: TechniqueConfig | None
+    seed: int
+    tasks: tuple[str, ...]
+    epochs: int
+    window: int
+    lexicon: Lexicon | None
+    provider: ParaphraseProvider | None
+
+
+def _run_arm(experiment: _Experiment, fold_index: int, augmented: bool) -> dict[str, float]:
+    """Per-task F1 of one arm of one fold: trained on the fold's training
+    documents, plus their synthetic documents if augmented, and scored on
+    its test documents. Every seed comes from (seed, fold_index), so the
+    arm scores the same in whichever process runs it."""
+    e = experiment
+    fold = e.folds[fold_index]
+    test_ids = set(fold)
+    train_docs = [d for i, d in enumerate(e.corpus.documents) if i not in test_ids]
+    test_docs = [e.corpus.documents[i] for i in fold]
+    if augmented:
+        synthetic = augment_corpus(
+            train_docs,
+            e.technique,
+            derive_seed(e.seed, "augment", fold_index),
+            lexicon=e.lexicon,
+            provider=e.provider,
+        )
+        train_ids = {d.id for d in train_docs}
+        # a synthetic id is its direct parent's id plus "-augN"; the parent
+        # may itself be synthetic when the corpus is augment output
+        leaked = [s.id for s in synthetic if s.id.rpartition("-aug")[0] not in train_ids]
+        if leaked:
+            raise RuntimeError(f"synthetic documents not derived from the training fold: {leaked}")
+        train_docs += synthetic
+
+    train = Corpus(tuple(train_docs), e.corpus.mention_types, e.corpus.relation_types)
+    arm_seed = derive_seed(e.seed, "fold", fold_index)
     out: dict[str, float] = {}
-    if "md" in tasks:
-        tagger = train_tagger(train, epochs=epochs, seed=derive_seed(seed, "tagger"))
+    if "md" in e.tasks:
+        tagger = train_tagger(train, epochs=e.epochs, seed=derive_seed(arm_seed, "tagger"))
         total = Score()
         for d in test_docs:
             total += score_mentions(d.mentions, predict_mentions(tagger, d))
         out["md"] = total.f1
-    if "re" in tasks:
+    if "re" in e.tasks:
         model = train_relations(
-            train, epochs=epochs, seed=derive_seed(seed, "relations"), window=window
+            train, epochs=e.epochs, seed=derive_seed(arm_seed, "relations"), window=e.window
         )
         total = Score()
         for d in test_docs:
@@ -147,6 +182,70 @@ def _evaluate_arm(
             total += score_relations(d.relations, predict_relations(model, d), d.mentions)
         out["re"] = total.f1
     return out
+
+
+# The experiment a child process runs arms of, set once per child by the
+# pool's initializer; never set in the calling process.
+_child_experiment: _Experiment | None = None
+
+
+def _init_child(experiment: _Experiment) -> None:
+    global _child_experiment
+    _child_experiment = experiment
+
+
+def _run_lane(experiment: _Experiment, jobs) -> tuple[list[dict[str, float]], Exception | None]:
+    """The results of jobs in order, up to the first job that raises, and
+    that job's error (None when every job finished)."""
+    results = []
+    for job in jobs:
+        try:
+            results.append(_run_arm(experiment, *job))
+        except Exception as error:
+            return results, error
+    return results, None
+
+
+def _run_child_lane(jobs) -> tuple[list[dict[str, float]], Exception | None]:
+    results, error = _run_lane(_child_experiment, jobs)
+    if error is not None:
+        # a traceback is not pickled; its text crosses as a note, which
+        # Python 3.11 and later print with the error
+        trace = "".join(traceback.format_exception(error))
+        error.__notes__ = [*getattr(error, "__notes__", ()), f"in a worker process:\n{trace}"]
+    return results, error
+
+
+def _run_jobs(experiment: _Experiment, jobs, workers: int) -> list[dict[str, float]]:
+    """Each job's result, in job order, from min(workers, len(jobs)) lanes.
+    Lane i runs jobs[i::lanes] in order: lane 0 in the calling process,
+    each other lane in a child process. So which process runs a job
+    depends only on the job count and workers. The pool uses the
+    platform's default start method: fork shares the inputs without
+    pickling them, spawn and forkserver pickle them once per child. When
+    jobs fail, the error of the first failed job is raised, as the
+    one-lane loop would raise it, and only once every child has been
+    joined."""
+    lanes = min(workers, len(jobs))
+    if lanes <= 1:
+        return [_run_arm(experiment, *job) for job in jobs]
+
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(lanes - 1, initializer=_init_child, initargs=(experiment,)) as pool:
+        children = [pool.submit(_run_child_lane, jobs[i::lanes]) for i in range(1, lanes)]
+        outcomes = [_run_lane(experiment, jobs[::lanes])] + [c.result() for c in children]
+    results: list = [None] * len(jobs)
+    failures = []
+    for lane, (done, error) in enumerate(outcomes):
+        positions = range(lane, len(jobs), lanes)
+        for position, result in zip(positions, done):
+            results[position] = result
+        if error is not None:
+            failures.append((positions[len(done)], error))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def cross_validate(
@@ -161,6 +260,7 @@ def cross_validate(
     lexicon: Lexicon | None = None,
     provider: ParaphraseProvider | None = None,
     baseline_cache: dict | None = None,
+    workers: int = 1,
 ) -> GainReport:
     """Per-task mean F1 over k folds for the plain and the augmented arm,
     and their difference (the performance gain).
@@ -168,49 +268,36 @@ def cross_validate(
     Synthetic documents are generated from each fold's training documents
     only and added to them; test folds are never augmented. Without a
     technique both arms are identical and all gains are zero.
+
+    The arms run in min(workers, arms) lanes, the calling process running
+    one (see _run_jobs); the report is the same at any worker count.
     """
     for task in tasks:
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}")
-    # checked here, not only where it is used, so no fold trains first
+    # checked here, not only where they are used, so no fold trains first
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     folds = split_folds(len(corpus.documents), k, seed)
     if technique is not None:
         technique.resolved  # checks the config, so no fold trains first
 
     cache_key = ("baseline", k, seed, epochs, window, tuple(tasks))
     cached = baseline_cache.get(cache_key) if baseline_cache is not None else None
-    baseline_folds: list[dict[str, float]] = []
-    augmented_folds: list[dict[str, float]] = []
-    for fold_index, fold in enumerate(folds):
-        test_ids = set(fold)
-        train_docs = [d for i, d in enumerate(corpus.documents) if i not in test_ids]
-        test_docs = [corpus.documents[i] for i in fold]
-
-        def arm(train: list[Document]) -> dict[str, float]:
-            fold_seed = derive_seed(seed, "fold", fold_index)
-            return _evaluate_arm(train, test_docs, corpus, tasks, epochs, window, fold_seed)
-
-        baseline = cached[fold_index] if cached is not None else arm(train_docs)
-        baseline_folds.append(baseline)
-        if technique is None:
-            augmented_folds.append(baseline)
-            continue
-        synthetic = augment_corpus(
-            train_docs,
-            technique,
-            derive_seed(seed, "augment", fold_index),
-            lexicon=lexicon,
-            provider=provider,
-        )
-        train_ids = {d.id for d in train_docs}
-        # a synthetic id is its direct parent's id plus "-augN"; the parent
-        # may itself be synthetic when the corpus is augment output
-        leaked = [s.id for s in synthetic if s.id.rpartition("-aug")[0] not in train_ids]
-        if leaked:
-            raise RuntimeError(f"synthetic documents not derived from the training fold: {leaked}")
-        augmented_folds.append(arm(train_docs + synthetic))
+    # augmented arms take about three times as long, so they go first
+    jobs = [(i, True) for i in range(k)] if technique is not None else []
+    if cached is None:
+        jobs += [(i, False) for i in range(k)]
+    experiment = _Experiment(
+        corpus, folds, technique, seed, tuple(tasks), epochs, window, lexicon, provider
+    )
+    scores = dict(zip(jobs, _run_jobs(experiment, jobs, workers)))
+    baseline_folds = cached if cached is not None else [scores[i, False] for i in range(k)]
+    augmented_folds = (
+        [scores[i, True] for i in range(k)] if technique is not None else baseline_folds
+    )
     if baseline_cache is not None:
         baseline_cache[cache_key] = baseline_folds
 

@@ -169,6 +169,7 @@ def optimize(
     window: int = 1,
     lexicon: Lexicon | None = None,
     provider: ParaphraseProvider | None = None,
+    workers: int = 1,
 ) -> tuple[TechniqueConfig, list[TrialRecord]]:
     """Sequential trials: suggest a config, measure its gain by k-fold
     cross-validation, feed the result back. Returns the config of
@@ -182,10 +183,16 @@ def optimize(
     The unaugmented arm's cache key is (k, seed, epochs, window, tasks),
     none of which changes between trials, so it is computed once and
     reused by every trial.
+
+    Each trial runs its folds' arms in min(workers, arms) lanes, the
+    calling process running one; the trial log is the same at any worker
+    count.
     """
     technique = resolve_technique(technique_id)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     rng = Random(derive_seed(seed, "tpe", technique.name, task))
     cv_seed = derive_seed(seed, "cv", technique.name, task)
     baseline_cache: dict = {}
@@ -208,6 +215,7 @@ def optimize(
                 lexicon=lexicon,
                 provider=provider,
                 baseline_cache=baseline_cache,
+                workers=workers,
             )
             objective = report.tasks[task].gain
             history.append(TrialRecord(index, config, objective, "complete"))

@@ -1,9 +1,11 @@
+import concurrent.futures
 import dataclasses
+import multiprocessing
 from random import Random
 
 import pytest
 
-from corpora import kuhn_matching_score
+from corpora import fixture_corpus, kuhn_matching_score
 
 from spanaug.corpus import Mention, Relation
 from spanaug.evaluation import (
@@ -14,6 +16,7 @@ from spanaug.evaluation import (
     score_relations,
     split_folds,
 )
+from spanaug.seeding import derive_seed
 from spanaug.techniques import TechniqueConfig
 
 TYPES = ("Actor", "Activity")
@@ -225,8 +228,8 @@ def test_cross_validate_rejects_bad_arguments(corpus20):
 
 @pytest.mark.parametrize(
     "kwargs, message",
-    [({"window": -1}, "window must be >= 0")],
-    ids=["window"],
+    [({"window": -1}, "window must be >= 0"), ({"workers": 0}, "workers must be >= 1")],
+    ids=["window", "workers"],
 )
 def test_cross_validate_rejects_window_and_workers_before_training(
     kwargs, message, monkeypatch, corpus20
@@ -259,3 +262,68 @@ def test_baseline_cache_reused(corpus20):
     assert len(cache) == 1
     second = cross_validate(corpus20, 4, cfg, 5, tasks=("md",), epochs=2, baseline_cache=cache)
     assert first == second
+
+
+def test_first_failed_arm_decides_the_error_at_any_worker_count(monkeypatch, corpus20):
+    fold_of = {derive_seed(0, "augment", i): i for i in range(4)}
+
+    def leaks_on_folds_1_and_2(train_docs, technique, seed, **kw):
+        if fold_of[seed] not in (1, 2):
+            return []
+        train_ids = {d.id for d in train_docs}
+        tested = [d for d in corpus20.documents if d.id not in train_ids]
+        return [dataclasses.replace(d, id=f"{d.id}-aug1") for d in tested]
+
+    monkeypatch.setattr("spanaug.evaluation.augment_corpus", leaks_on_folds_1_and_2)
+    cfg = TechniqueConfig("random_token_swap", {"s": 2})
+    messages = []
+    # at 2 workers fold 2's arm is in the calling process's lane, fold 1's
+    # in the child's; at 3 both are in children
+    for workers in (1, 2, 3):
+        with pytest.raises(RuntimeError, match="not derived from the training fold") as caught:
+            cross_validate(corpus20, 4, cfg, 0, tasks=("md",), epochs=1, workers=workers)
+        messages.append(str(caught.value))
+        assert multiprocessing.active_children() == []
+    assert len(set(messages)) == 1
+
+
+def test_reports_are_equal_at_any_worker_count(monkeypatch):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    corpus = fixture_corpus(6, seed=4)
+    cfg = TechniqueConfig("random_token_insertion", {"n": 1})
+    # a pool per call with more than one lane: 6 arms, then 3 once the
+    # plain arms are cached; the calling process runs one lane itself
+    pool_sizes = {1: [], 2: [1, 1], 8: [5, 2]}
+    reports = {}
+    for workers, sizes in pool_sizes.items():
+        made = []
+        cache: dict = {}
+        reports[workers] = [
+            cross_validate(corpus, 3, cfg, 9, epochs=1, baseline_cache=cache, workers=workers)
+            for _ in range(2)
+        ]
+        assert made == sizes
+        assert multiprocessing.active_children() == []
+    assert reports[1] == reports[2] == reports[8]
+    assert set(reports[1][0].tasks) == {"md", "re"}
+
+
+def test_reports_are_equal_when_children_are_spawned(monkeypatch):
+    """Under spawn (or forkserver, the default on some platforms) the
+    initializer's inputs are pickled and children import the package
+    afresh."""
+
+    class SpawningPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers, mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+    corpus = fixture_corpus(6, seed=4)
+    cfg = TechniqueConfig("lexicon_substitution", {"mode": "synonym", "p": 0.5})
+    serial = cross_validate(corpus, 3, cfg, 9, tasks=("md",), epochs=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawningPool)
+    assert cross_validate(corpus, 3, cfg, 9, tasks=("md",), epochs=1, workers=2) == serial

@@ -1,6 +1,9 @@
+import os
 from random import Random
 
 import pytest
+
+import spanaug.tpe
 
 from spanaug.evaluation import TaskGain
 from spanaug.providers import ProviderError
@@ -255,3 +258,31 @@ def test_optimize_configs_stay_inside_space(monkeypatch, corpus20):
 def test_optimize_validates_task(corpus20):
     with pytest.raises(ValueError):
         optimize("random_token_deletion", corpus20, "both", n_trials=1, seed=0)
+
+
+def test_optimize_records_a_provider_error_in_a_child_lane(monkeypatch, corpus20):
+    parent = os.getpid()
+    trials = []
+    cross_validate = spanaug.tpe.cross_validate
+
+    def counting(*args, **kwargs):
+        trials.append(len(trials))
+        return cross_validate(*args, **kwargs)
+
+    def fails_in_a_child_in_the_first_trial(train_docs, technique, seed, **kw):
+        if os.getpid() != parent and len(trials) == 1:
+            raise ProviderError("rewrite service unreachable")
+        return []
+
+    monkeypatch.setattr("spanaug.tpe.cross_validate", counting)
+    monkeypatch.setattr("spanaug.evaluation.augment_corpus", fails_in_a_child_in_the_first_trial)
+    _, history = optimize(
+        "random_token_deletion", corpus20, "md", n_trials=3, seed=1, k=2, epochs=1, workers=2
+    )
+    assert [t.status for t in history] == ["failed", "complete", "complete"]
+
+
+def test_optimize_rejects_workers_below_one(monkeypatch, corpus20):
+    monkeypatch.setattr("spanaug.tpe.cross_validate", fake_cross_validate(lambda cfg: 0.5))
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        optimize("random_token_deletion", corpus20, "md", n_trials=1, seed=0, workers=0)
