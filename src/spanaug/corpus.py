@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import starmap
+from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 DEFAULT_MENTION_TYPES = (
@@ -119,6 +122,11 @@ def make_document(
     return Document(doc_id, toks, tuple(mentions), tuple(relations))
 
 
+def is_token_text(text: str) -> bool:
+    """Non-empty and free of what str.isspace calls whitespace."""
+    return text.split() == [text]
+
+
 def validate_document(d: Document) -> list[Violation]:
     """Check every document-level invariant; empty list means valid.
 
@@ -129,28 +137,27 @@ def validate_document(d: Document) -> list[Violation]:
     out: list[Violation] = []
     n = len(d.tokens)
 
-    prev_sentence = None
+    # the first token has no predecessor: comparing it with itself passes
+    prev_sentence = d.tokens[0].sentence if d.tokens else 0
     for i, tok in enumerate(d.tokens):
+        text, sentence = tok.text, tok.sentence
+        if is_token_text(text) and 0 <= sentence and prev_sentence <= sentence:
+            prev_sentence = sentence
+            continue
         where = f"{d.id}.tokens[{i}]"
-        if not tok.text:
+        if not text:
             out.append(Violation("empty-token", where, "token text is empty"))
-        elif any(c.isspace() for c in tok.text):
-            out.append(
-                Violation("token-whitespace", where, f"token {tok.text!r} contains whitespace")
-            )
-        if tok.sentence < 0:
-            out.append(
-                Violation("sentence-negative", where, f"sentence index {tok.sentence} < 0")
-            )
-        if prev_sentence is not None and tok.sentence < prev_sentence:
+        elif not is_token_text(text):
+            out.append(Violation("token-whitespace", where, f"token {text!r} contains whitespace"))
+        if sentence < 0:
+            out.append(Violation("sentence-negative", where, f"sentence index {sentence} < 0"))
+        if sentence < prev_sentence:
             out.append(
                 Violation(
-                    "sentence-order",
-                    where,
-                    f"sentence index {tok.sentence} after {prev_sentence}",
+                    "sentence-order", where, f"sentence index {sentence} after {prev_sentence}"
                 )
             )
-        prev_sentence = tok.sentence
+        prev_sentence = sentence
 
     seen_mention_ids: set[str] = set()
     for m in d.mentions:
@@ -245,54 +252,75 @@ def validate_corpus(c: Corpus) -> list[Violation]:
     return out
 
 
-def _expect(value, kind, path: str):
-    if kind is int and isinstance(value, bool):  # bool is an int subclass
-        raise CorpusParseError(f"{path}: expected {kind.__name__}, got bool")
-    if not isinstance(value, kind):
-        raise CorpusParseError(
-            f"{path}: expected {kind.__name__}, got {type(value).__name__}"
-        )
+def _wrong(value, kind: type, path: str) -> CorpusParseError:
+    return CorpusParseError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
+
+
+def _list(obj: dict, field: str, path: str) -> list:
+    value = obj[field]
+    if type(value) is not list:
+        raise _wrong(value, list, f"{path}.{field}")
     return value
 
 
-def _parse_document(obj, path: str) -> Document:
-    _expect(obj, dict, path)
+def _records(obj: dict, field: str, path: str, **fields: type) -> list[tuple]:
+    """The field values of each JSON object in the list obj[field]. Types
+    are compared exactly (json.loads makes no subclasses; a bool is no int),
+    and a path is formatted only for the error: the first failing field in
+    reading order, or a KeyError for a missing one."""
+    items = _list(obj, field, path)
     try:
-        doc_id = _expect(obj["id"], str, f"{path}.id")
-        tokens = []
-        for i, t in enumerate(_expect(obj["tokens"], list, f"{path}.tokens")):
-            _expect(t, dict, f"{path}.tokens[{i}]")
-            tokens.append(
-                Token(
-                    _expect(t["text"], str, f"{path}.tokens[{i}].text"),
-                    _expect(t["sentence"], int, f"{path}.tokens[{i}].sentence"),
-                )
-            )
-        mentions = []
-        for i, m in enumerate(_expect(obj["mentions"], list, f"{path}.mentions")):
-            _expect(m, dict, f"{path}.mentions[{i}]")
-            mentions.append(
-                Mention(
-                    _expect(m["id"], str, f"{path}.mentions[{i}].id"),
-                    _expect(m["type"], str, f"{path}.mentions[{i}].type"),
-                    _expect(m["start"], int, f"{path}.mentions[{i}].start"),
-                    _expect(m["end"], int, f"{path}.mentions[{i}].end"),
-                )
-            )
-        relations = []
-        for i, r in enumerate(_expect(obj["relations"], list, f"{path}.relations")):
-            _expect(r, dict, f"{path}.relations[{i}]")
-            relations.append(
-                Relation(
-                    _expect(r["id"], str, f"{path}.relations[{i}].id"),
-                    _expect(r["type"], str, f"{path}.relations[{i}].type"),
-                    _expect(r["head"], str, f"{path}.relations[{i}].head"),
-                    _expect(r["tail"], str, f"{path}.relations[{i}].tail"),
-                )
-            )
+        rows = list(map(itemgetter(*fields), items))
+    except (KeyError, TypeError):  # TypeError: an item is not a dict
+        rows = None
+    if rows is not None and all(
+        set(map(type, col)) == {kind} for col, kind in zip(zip(*rows), fields.values())
+    ):
+        return rows
+    for i, item in enumerate(items):
+        where = f"{path}.{field}[{i}]"
+        if type(item) is not dict:
+            raise _wrong(item, dict, where)
+        for name, kind in fields.items():
+            if type(item[name]) is not kind:
+                raise _wrong(item[name], kind, f"{where}.{name}")
+    raise AssertionError("unreachable: the fast path failed on a valid list")
+
+
+class _SharedTokens(dict):
+    """One Token per distinct (text, sentence), for one parse."""
+
+    def __missing__(self, key: tuple[str, int]) -> Token:
+        token = self[key] = Token(*key)
+        return token
+
+
+def _parse_document(obj, path: str, shared: _SharedTokens) -> Document:
+    if type(obj) is not dict:
+        raise _wrong(obj, dict, path)
+    try:
+        doc_id = obj["id"]
+        if type(doc_id) is not str:
+            raise _wrong(doc_id, str, f"{path}.id")
+        tokens = _records(obj, "tokens", path, text=str, sentence=int)
+        mentions = _records(obj, "mentions", path, id=str, type=str, start=int, end=int)
+        relations = _records(obj, "relations", path, id=str, type=str, head=str, tail=str)
     except KeyError as e:
         raise CorpusParseError(f"{path}: missing field {e.args[0]!r}") from None
-    return Document(doc_id, tuple(tokens), tuple(mentions), tuple(relations))
+    return Document(
+        doc_id,
+        tuple(map(shared.__getitem__, tokens)),
+        tuple(starmap(Mention, mentions)),
+        tuple(starmap(Relation, relations)),
+    )
+
+
+def _strings(obj: dict, field: str) -> tuple[str, ...]:
+    items = _list(obj, field, "$")
+    for i, item in enumerate(items):
+        if type(item) is not str:
+            raise _wrong(item, str, f"$.{field}[{i}]")
+    return tuple(items)
 
 
 def parse_corpus(raw: bytes | str) -> Corpus:
@@ -300,6 +328,7 @@ def parse_corpus(raw: bytes | str) -> Corpus:
 
     Raises CorpusParseError with line/position info on malformed syntax and
     CorpusValidationError naming the document and rule on invariant failure.
+    Equal tokens of one parse are one shared Token object.
     """
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
@@ -307,19 +336,15 @@ def parse_corpus(raw: bytes | str) -> Corpus:
         obj = json.loads(raw)
     except json.JSONDecodeError as e:
         raise CorpusParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
-    _expect(obj, dict, "$")
+    if type(obj) is not dict:
+        raise _wrong(obj, dict, "$")
+    shared = _SharedTokens()
     try:
-        mention_types = tuple(
-            _expect(t, str, f"$.mention_types[{i}]")
-            for i, t in enumerate(_expect(obj["mention_types"], list, "$.mention_types"))
-        )
-        relation_types = tuple(
-            _expect(t, str, f"$.relation_types[{i}]")
-            for i, t in enumerate(_expect(obj["relation_types"], list, "$.relation_types"))
-        )
+        mention_types = _strings(obj, "mention_types")
+        relation_types = _strings(obj, "relation_types")
         documents = tuple(
-            _parse_document(docobj, f"$.documents[{i}]")
-            for i, docobj in enumerate(_expect(obj["documents"], list, "$.documents"))
+            _parse_document(docobj, f"$.documents[{i}]", shared)
+            for i, docobj in enumerate(_list(obj, "documents", "$"))
         )
     except KeyError as e:
         raise CorpusParseError(f"$: missing field {e.args[0]!r}") from None
@@ -330,35 +355,38 @@ def parse_corpus(raw: bytes | str) -> Corpus:
     return corpus
 
 
-def corpus_to_obj(c: Corpus) -> dict:
-    return {
-        "mention_types": list(c.mention_types),
-        "relation_types": list(c.relation_types),
-        "documents": [
-            {
-                "id": d.id,
-                "tokens": [{"text": t.text, "sentence": t.sentence} for t in d.tokens],
-                "mentions": [
-                    {"id": m.id, "type": m.type, "start": m.start, "end": m.end}
-                    for m in d.mentions
-                ],
-                "relations": [
-                    {"id": r.id, "type": r.type, "head": r.head, "tail": r.tail}
-                    for r in d.relations
-                ],
-            }
-            for d in c.documents
-        ],
-    }
+_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), sort_keys=True).encode
+
+
+def _int(value) -> str:
+    # json's spelling; it differs from %d for a bool ("true", not "1")
+    return str(value) if type(value) is int else _json(value)
 
 
 def serialize_corpus(c: Corpus) -> bytes:
     """Canonical byte form: sorted keys, documents in input order, UTF-8,
-    newline-terminated. Equal corpora serialize to identical bytes."""
-    text = json.dumps(
-        corpus_to_obj(c), sort_keys=True, ensure_ascii=False, separators=(",", ":")
+    newline-terminated. Equal corpora serialize to identical bytes: those
+    _json writes for the corpus as a tree of dicts, written directly."""
+    s = encode_basestring
+    documents = []
+    for d in c.documents:
+        tokens = ['{"sentence":%s,"text":%s}' % (_int(t.sentence), s(t.text)) for t in d.tokens]
+        mentions = [
+            '{"end":%s,"id":%s,"start":%s,"type":%s}' % (_int(m.end), s(m.id), _int(m.start), s(m.type))
+            for m in d.mentions
+        ]
+        relations = [
+            '{"head":%s,"id":%s,"tail":%s,"type":%s}' % (s(r.head), s(r.id), s(r.tail), s(r.type))
+            for r in d.relations
+        ]
+        documents.append(
+            '{"id":%s,"mentions":[%s],"relations":[%s],"tokens":[%s]}'
+            % (s(d.id), ",".join(mentions), ",".join(relations), ",".join(tokens))
+        )
+    text = '{"documents":[%s],"mention_types":%s,"relation_types":%s}\n' % (
+        ",".join(documents), _json(c.mention_types), _json(c.relation_types)
     )
-    return (text + "\n").encode("utf-8")
+    return text.encode("utf-8")
 
 
 def load_corpus(path) -> Corpus:

@@ -42,7 +42,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import Document, Mention, Token
+from .corpus import Document, Mention, Token, is_token_text
 
 MERGE_PUNCTUATION = frozenset({".", "!", "?", ";"})
 
@@ -120,7 +120,7 @@ _Applied = tuple[tuple[Token, ...], _IndexMap | None, _IndexMap | None]
 
 def _check_texts(texts: Sequence[str]) -> tuple[str, ...]:
     for t in texts:
-        if not t or any(c.isspace() for c in t):
+        if not is_token_text(t):
             raise EditError(f"token text {t!r} is empty or contains whitespace")
     return tuple(texts)
 

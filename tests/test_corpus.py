@@ -149,3 +149,184 @@ def test_corpus_level_checks(d1):
     assert "duplicate-document-id" in found
     assert "unknown-mention-type" in found
     assert "unknown-relation-type" in found
+
+
+# Golden parse errors: the exact message for each malformed shape, which is
+# always the first failing field in reading order. A missing field below a
+# document is reported at the document's path.
+
+DELETE = object()
+DOC = ("documents", 1)
+TOKENS, MENTIONS, RELATIONS = DOC + ("tokens",), DOC + ("mentions",), DOC + ("relations",)
+
+
+def valid_corpus_obj() -> dict:
+    return {
+        "mention_types": ["Actor"],
+        "relation_types": ["Flow"],
+        "documents": [
+            {"id": "d0", "tokens": [{"text": "a", "sentence": 0}], "mentions": [], "relations": []},
+            {
+                "id": "d1",
+                "tokens": [{"text": "a", "sentence": 0}, {"text": "b", "sentence": 0}],
+                "mentions": [
+                    {"id": "m1", "type": "Actor", "start": 0, "end": 0},
+                    {"id": "m2", "type": "Actor", "start": 1, "end": 1},
+                ],
+                "relations": [
+                    {"id": "r0", "type": "Flow", "head": "m1", "tail": "m2"},
+                    {"id": "r1", "type": "Flow", "head": "m2", "tail": "m1"},
+                ],
+            },
+        ],
+    }
+
+
+def mutated(*changes) -> str:
+    """The valid corpus as JSON text with each (path, value) set, or the
+    field at path deleted when value is DELETE; the empty path replaces
+    the whole object."""
+    obj = valid_corpus_obj()
+    for path, value in changes:
+        if not path:
+            obj = value
+            continue
+        *parents, last = path
+        target = obj
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    return json.dumps(obj)
+
+
+def missing(field, path="$.documents[1]"):
+    return f"{path}: missing field {field!r}"
+
+
+
+GOLDEN_PARSE_ERRORS = [
+    # the top level
+    ([((), [])], "$: expected dict, got list"),
+    ([(("mention_types",), DELETE)], missing("mention_types", "$")),
+    ([(("relation_types",), DELETE)], missing("relation_types", "$")),
+    ([(("documents",), DELETE)], missing("documents", "$")),
+    ([(("mention_types",), "Actor")], "$.mention_types: expected list, got str"),
+    ([(("mention_types", 0), 1)], "$.mention_types[0]: expected str, got int"),
+    ([(("relation_types",), {})], "$.relation_types: expected list, got dict"),
+    ([(("relation_types", 0), None)], "$.relation_types[0]: expected str, got NoneType"),
+    ([(("documents",), {})], "$.documents: expected list, got dict"),
+    # a document
+    ([(DOC, "doc")], "$.documents[1]: expected dict, got str"),
+    ([(DOC, None)], "$.documents[1]: expected dict, got NoneType"),
+    ([(DOC + ("id",), DELETE)], missing("id")),
+    ([(DOC + ("tokens",), DELETE)], missing("tokens")),
+    ([(DOC + ("mentions",), DELETE)], missing("mentions")),
+    ([(DOC + ("relations",), DELETE)], missing("relations")),
+    ([(DOC + ("id",), 7)], "$.documents[1].id: expected str, got int"),
+    ([(TOKENS, "a b")], "$.documents[1].tokens: expected list, got str"),
+    ([(MENTIONS, None)], "$.documents[1].mentions: expected list, got NoneType"),
+    ([(RELATIONS, {})], "$.documents[1].relations: expected list, got dict"),
+    # a token
+    ([(TOKENS + (1,), ["b", 0])], "$.documents[1].tokens[1]: expected dict, got list"),
+    ([(TOKENS + (1, "text"), DELETE)], missing("text")),
+    ([(TOKENS + (1, "sentence"), DELETE)], missing("sentence")),
+    ([(TOKENS + (1, "text"), 5)], "$.documents[1].tokens[1].text: expected str, got int"),
+    ([(TOKENS + (1, "text"), True)], "$.documents[1].tokens[1].text: expected str, got bool"),
+    ([(TOKENS + (1, "sentence"), "0")], "$.documents[1].tokens[1].sentence: expected int, got str"),
+    ([(TOKENS + (1, "sentence"), 0.0)], "$.documents[1].tokens[1].sentence: expected int, got float"),
+    ([(TOKENS + (1, "sentence"), True)], "$.documents[1].tokens[1].sentence: expected int, got bool"),
+    ([(TOKENS + (1, "sentence"), None)], "$.documents[1].tokens[1].sentence: expected int, got NoneType"),
+    # a mention
+    ([(MENTIONS + (1,), "m2")], "$.documents[1].mentions[1]: expected dict, got str"),
+    ([(MENTIONS + (1, "id"), DELETE)], missing("id")),
+    ([(MENTIONS + (1, "type"), DELETE)], missing("type")),
+    ([(MENTIONS + (1, "start"), DELETE)], missing("start")),
+    ([(MENTIONS + (1, "end"), DELETE)], missing("end")),
+    ([(MENTIONS + (1, "id"), 2)], "$.documents[1].mentions[1].id: expected str, got int"),
+    ([(MENTIONS + (1, "type"), ["Actor"])], "$.documents[1].mentions[1].type: expected str, got list"),
+    ([(MENTIONS + (1, "start"), "1")], "$.documents[1].mentions[1].start: expected int, got str"),
+    ([(MENTIONS + (1, "end"), 1.5)], "$.documents[1].mentions[1].end: expected int, got float"),
+    ([(MENTIONS + (1, "start"), False)], "$.documents[1].mentions[1].start: expected int, got bool"),
+    ([(MENTIONS + (1, "end"), True)], "$.documents[1].mentions[1].end: expected int, got bool"),
+    # a relation
+    ([(RELATIONS + (1,), 3)], "$.documents[1].relations[1]: expected dict, got int"),
+    ([(RELATIONS + (1, "id"), DELETE)], missing("id")),
+    ([(RELATIONS + (1, "type"), DELETE)], missing("type")),
+    ([(RELATIONS + (1, "head"), DELETE)], missing("head")),
+    ([(RELATIONS + (1, "tail"), DELETE)], missing("tail")),
+    ([(RELATIONS + (1, "id"), None)], "$.documents[1].relations[1].id: expected str, got NoneType"),
+    ([(RELATIONS + (1, "type"), 0)], "$.documents[1].relations[1].type: expected str, got int"),
+    ([(RELATIONS + (1, "head"), False)], "$.documents[1].relations[1].head: expected str, got bool"),
+    ([(RELATIONS + (1, "tail"), {"id": "m1"})], "$.documents[1].relations[1].tail: expected str, got dict"),
+    # two faults: the first in reading order is the one reported
+    (
+        [(TOKENS + (1, "sentence"), True), (MENTIONS + (0, "id"), 3)],
+        "$.documents[1].tokens[1].sentence: expected int, got bool",
+    ),
+    ([(TOKENS + (0, "text"), DELETE), (TOKENS + (1, "text"), 5)], missing("text")),
+    (
+        [(TOKENS + (1, "text"), 5), (TOKENS + (1, "sentence"), DELETE)],
+        "$.documents[1].tokens[1].text: expected str, got int",
+    ),
+    ([(MENTIONS + (1, "id"), DELETE), (MENTIONS + (1, "start"), "x")], missing("id")),
+    (
+        [(MENTIONS + (0, "end"), True), (MENTIONS + (1, "start"), None)],
+        "$.documents[1].mentions[0].end: expected int, got bool",
+    ),
+    (
+        [(("documents", 0, "relations"), DELETE), (DOC + ("id",), 1)],
+        missing("relations", "$.documents[0]"),
+    ),
+    (
+        [(RELATIONS + (0, "tail"), 1), (RELATIONS + (1, "head"), DELETE)],
+        "$.documents[1].relations[0].tail: expected str, got int",
+    ),
+    ([(("mention_types", 0), 1), (("documents",), DELETE)], "$.mention_types[0]: expected str, got int"),
+    ([(("relation_types",), DELETE), (TOKENS + (1,), None)], missing("relation_types", "$")),
+    (
+        [(MENTIONS, DELETE), (TOKENS + (0, "sentence"), 1.0)],
+        "$.documents[1].tokens[0].sentence: expected int, got float",
+    ),
+    # a parse fault wins over a validation fault met earlier
+    (
+        [(TOKENS + (0, "text"), ""), (TOKENS + (1, "sentence"), True)],
+        "$.documents[1].tokens[1].sentence: expected int, got bool",
+    ),
+]
+
+
+@pytest.mark.parametrize("changes, message", GOLDEN_PARSE_ERRORS)
+def test_parse_error_message_is_exact(changes, message):
+    with pytest.raises(CorpusParseError) as err:
+        parse_corpus(mutated(*changes))
+    assert str(err.value) == message
+
+
+def test_unchanged_golden_corpus_parses():
+    corpus = parse_corpus(mutated())
+    assert [d.id for d in corpus.documents] == ["d0", "d1"]
+
+
+def test_names_rebound_by_the_benchmark_tracer_exist(tmp_path, monkeypatch):
+    """perfbench/tracing.py times corpus loading, validation and
+    serialization by rebinding these names; a rename would drop those
+    spans without an error."""
+    import spanaug.cli as cli
+    import spanaug.corpus as corpus_module
+
+    assert callable(cli.serialize_corpus)
+    calls = []
+
+    def validate_spy(corpus):
+        calls.append(corpus)
+        return []
+
+    assert callable(corpus_module.validate_corpus)
+    monkeypatch.setattr(corpus_module, "validate_corpus", validate_spy)
+    path = tmp_path / "corpus.json"
+    path.write_text(mutated())
+    loaded = cli.load_corpus(path)
+    assert calls == [loaded]

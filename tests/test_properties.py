@@ -4,12 +4,17 @@
   conserves the multiset of (relation type, head id, tail id).
 * An applied edit keeps the token texts of every mention it does not touch.
 * So does every technique, at any parameter values in its space.
-* A corpus survives serialize_corpus then parse_corpus unchanged.
+* A corpus survives serialize_corpus then parse_corpus unchanged, and one
+  parse shares one Token per distinct (text, sentence).
+* serialize_corpus writes the bytes json.dumps writes for the corpus as a
+  tree of dicts, and validate_document finds the violations, in the same
+  order, that its first, token-by-token implementation finds.
 
 Generation is derandomized and the number of examples bounded, so these
 tests are deterministic and take a few seconds.
 """
 
+import json
 from collections import Counter
 from random import Random
 
@@ -23,6 +28,7 @@ from spanaug.corpus import (
     Mention,
     Relation,
     Token,
+    Violation,
     parse_corpus,
     serialize_corpus,
     validate_document,
@@ -174,6 +180,200 @@ def corpora(draw):
 @given(corpora())
 def test_serialize_then_parse_round_trips(corpus):
     assert parse_corpus(serialize_corpus(corpus)) == corpus
+
+
+@PROPERTY
+@given(st.lists(documents(), max_size=4))
+def test_a_parse_shares_equal_tokens_and_two_parses_share_none(docs):
+    docs = [Document(f"doc-{i}", d.tokens, d.mentions, d.relations) for i, d in enumerate(docs)]
+    corpus = Corpus(tuple(docs), MENTION_TYPES, RELATION_TYPES)
+    data = serialize_corpus(corpus)
+    first, second = parse_corpus(data), parse_corpus(data)
+    assert first == corpus
+    tokens = [t for d in first.documents for t in d.tokens]
+    assert len({id(t) for t in tokens}) == len(set(tokens))
+    assert not {id(t) for t in tokens} & {id(t) for d in second.documents for t in d.tokens}
+
+
+def corpus_to_obj(c: Corpus) -> dict:
+    """The corpus as the tree of dicts whose canonical JSON text is the
+    corpus file format."""
+    return {
+        "mention_types": list(c.mention_types),
+        "relation_types": list(c.relation_types),
+        "documents": [
+            {
+                "id": d.id,
+                "tokens": [{"text": t.text, "sentence": t.sentence} for t in d.tokens],
+                "mentions": [
+                    {"id": m.id, "type": m.type, "start": m.start, "end": m.end}
+                    for m in d.mentions
+                ],
+                "relations": [
+                    {"id": r.id, "type": r.type, "head": r.head, "tail": r.tail}
+                    for r in d.relations
+                ],
+            }
+            for d in c.documents
+        ],
+    }
+
+
+def reference_bytes(c: Corpus) -> bytes:
+    text = json.dumps(corpus_to_obj(c), sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return (text + "\n").encode()
+
+
+# any string json must escape or pass through: quotes, backslashes, control
+# characters, the line and paragraph separators, non-ASCII and astral
+ANY_TEXT = st.text(
+    st.one_of(
+        st.characters(codec="utf-8"),
+        st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029\u00e9\U0001f600'),
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def any_corpora(draw):
+    """Corpora of any field values of the right types, valid or not."""
+    ints = st.integers()
+    tokens = st.lists(st.builds(Token, ANY_TEXT, ints), max_size=5).map(tuple)
+    mentions = st.lists(st.builds(Mention, ANY_TEXT, ANY_TEXT, ints, ints), max_size=3).map(tuple)
+    relations = st.lists(st.builds(Relation, ANY_TEXT, ANY_TEXT, ANY_TEXT, ANY_TEXT), max_size=3)
+    docs = st.lists(st.builds(Document, ANY_TEXT, tokens, mentions, relations.map(tuple)), max_size=3)
+    kinds = st.lists(ANY_TEXT, max_size=3).map(tuple)
+    return Corpus(tuple(draw(docs)), draw(kinds), draw(kinds))
+
+
+@PROPERTY
+@given(any_corpora())
+def test_serialize_writes_the_bytes_of_json_dumps(corpus):
+    assert serialize_corpus(corpus) == reference_bytes(corpus)
+
+
+def test_serialize_writes_a_bool_in_an_int_field_as_json_does():
+    doc = Document("d", (Token("a", True),), (Mention("m", "Actor", False, True),))
+    corpus = Corpus((doc,), ("Actor",), ())
+    data = serialize_corpus(corpus)
+    assert data == reference_bytes(corpus)
+    assert b'"sentence":true' in data and b'"start":false' in data
+
+
+def reference_validate_document(d: Document) -> list[Violation]:
+    """validate_document as it was written first: every token's element
+    name formatted up front, and whitespace found with str.isspace."""
+    out: list[Violation] = []
+    n = len(d.tokens)
+
+    prev_sentence = None
+    for i, tok in enumerate(d.tokens):
+        where = f"{d.id}.tokens[{i}]"
+        if not tok.text:
+            out.append(Violation("empty-token", where, "token text is empty"))
+        elif any(c.isspace() for c in tok.text):
+            out.append(
+                Violation("token-whitespace", where, f"token {tok.text!r} contains whitespace")
+            )
+        if tok.sentence < 0:
+            out.append(
+                Violation("sentence-negative", where, f"sentence index {tok.sentence} < 0")
+            )
+        if prev_sentence is not None and tok.sentence < prev_sentence:
+            out.append(
+                Violation(
+                    "sentence-order",
+                    where,
+                    f"sentence index {tok.sentence} after {prev_sentence}",
+                )
+            )
+        prev_sentence = tok.sentence
+
+    seen_mention_ids: set[str] = set()
+    for m in d.mentions:
+        if m.id in seen_mention_ids:
+            out.append(Violation("duplicate-mention-id", m.id, "mention id reused"))
+        seen_mention_ids.add(m.id)
+        if m.start > m.end:
+            out.append(
+                Violation("span-inverted", m.id, f"start {m.start} > end {m.end}")
+            )
+            continue
+        if m.start < 0 or m.end >= n:
+            out.append(
+                Violation(
+                    "span-out-of-range",
+                    m.id,
+                    f"span [{m.start},{m.end}] outside document of {n} tokens",
+                )
+            )
+            continue
+        if d.tokens[m.start].sentence != d.tokens[m.end].sentence:
+            out.append(
+                Violation(
+                    "span-cross-sentence",
+                    m.id,
+                    f"span [{m.start},{m.end}] crosses a sentence boundary",
+                )
+            )
+
+    in_range = [m for m in d.mentions if 0 <= m.start <= m.end < n]
+    by_start = sorted(in_range, key=lambda m: (m.start, m.end))
+    for a, b in zip(by_start, by_start[1:]):
+        if b.start <= a.end:
+            out.append(
+                Violation(
+                    "mention-overlap",
+                    f"{a.id}/{b.id}",
+                    f"[{a.start},{a.end}] overlaps [{b.start},{b.end}]",
+                )
+            )
+
+    seen_relation_ids: set[str] = set()
+    for r in d.relations:
+        if r.id in seen_relation_ids:
+            out.append(Violation("duplicate-relation-id", r.id, "relation id reused"))
+        seen_relation_ids.add(r.id)
+        for endpoint in (r.head, r.tail):
+            if endpoint not in seen_mention_ids:
+                out.append(
+                    Violation(
+                        "dangling-endpoint",
+                        r.id,
+                        f"endpoint {endpoint!r} is not a mention of {d.id}",
+                    )
+                )
+        if r.head == r.tail:
+            out.append(Violation("self-relation", r.id, "head and tail are the same mention"))
+
+    return out
+
+
+# empty, Unicode whitespace (no-break space, em space, file separator) and
+# plain texts
+ODD_TEXT = st.one_of(
+    st.sampled_from(("", "a", "a b", "x\u00a0y", "\u2003", "\x1c", "é", "\t")),
+    st.text(st.sampled_from("ab \u00a0\u2003\x1c\u2028\x85"), max_size=3),
+)
+
+
+@st.composite
+def odd_documents(draw):
+    """Documents that break any rule: odd token texts, negative or
+    decreasing sentences, spans anywhere, reused ids, dangling endpoints."""
+    tokens = draw(st.lists(st.builds(Token, ODD_TEXT, st.integers(-2, 3)), max_size=8))
+    ids = st.sampled_from(("m0", "m1", "m2", "r0"))
+    index = st.integers(-1, len(tokens) + 1)
+    mentions = draw(st.lists(st.builds(Mention, ids, st.just("Actor"), index, index), max_size=4))
+    relations = draw(st.lists(st.builds(Relation, ids, st.just("Flow"), ids, ids), max_size=3))
+    return Document("d", tuple(tokens), tuple(mentions), tuple(relations))
+
+
+@PROPERTY
+@given(st.one_of(odd_documents(), documents()))
+def test_validate_document_matches_its_reference(doc):
+    assert validate_document(doc) == reference_validate_document(doc)
 
 
 LEXICON = builtin_lexicon()
