@@ -8,7 +8,10 @@ so gains are measurable without external model dependencies. Training is
 deterministic for a fixed (corpus, epochs, seed). While training, every
 weight is a whole number, so each feature's row is packed into one int
 with a 64-bit field per class: scoring a decision is one big-int sum, and
-a mistake updates a row with one addition.
+a mistake updates a row with one addition. Training stops after the first
+epoch that makes no mistake: with the weights unchanged, every later epoch
+would repeat its predictions, so the model is the one all ``epochs``
+epochs give, bit for bit.
 """
 
 from __future__ import annotations
@@ -98,7 +101,14 @@ def _train(
     sequences of (features, gold class); the sequence order is shuffled
     each epoch. With ``ptags`` (the tagger), each decision also sees
     ``ptags[c]`` for the class c predicted just before it in its sequence,
-    or "ptag=<s>" at the start."""
+    or "ptag=<s>" at the start.
+
+    The loop stops after the first epoch with no update. This is exact: a
+    prediction depends only on the weights and its own sequence (``prev``
+    restarts with each sequence), so with the weights unchanged every later
+    epoch, in whatever order, makes no mistake either. The averages divide by
+    the planned ``steps``, so they equal those of running every epoch.
+    ``rng`` is local, so the shuffles skipped move no other draw."""
     steps = epochs * sum(map(len, prepared))
     if steps >= _BIAS:
         raise ValueError(f"{steps} training steps exceed the packed weight range ({_BIAS})")
@@ -111,9 +121,10 @@ def _train(
     w: dict[str, int] = {}
     u: dict[str, list[float]] = {}
     get = w.get
-    step = 0
+    step = last = 0  # last: the step of the latest update
     order = list(range(len(prepared)))
     for _ in range(epochs):
+        start = step
         rng.shuffle(order)
         for si in order:
             prev = "ptag=<s>"
@@ -124,6 +135,7 @@ def _train(
                 pred = scores.index(max(scores))
                 step += 1
                 if pred != gold:
+                    last = step
                     delta = unit[gold] - unit[pred]
                     for f in feats:
                         w[f] = get(f, zero) + delta
@@ -132,8 +144,10 @@ def _train(
                         urow[pred] -= step
                 if ptags is not None:
                     prev = ptags[pred]
+        if last <= start:
+            break  # a clean epoch: every later one repeats it, and w and u are final
     unpacked = {f: [x - _BIAS for x in unpack(row.to_bytes(width, "little"))] for f, row in w.items()}
-    return _averaged(unpacked, u, max(step, 1))
+    return _averaged(unpacked, u, max(steps, 1))
 
 
 _add_rows = partial(map, add)

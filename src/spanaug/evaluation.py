@@ -286,7 +286,7 @@ def cross_validate(
 
     cache_key = ("baseline", k, seed, epochs, window, tuple(tasks))
     cached = baseline_cache.get(cache_key) if baseline_cache is not None else None
-    # augmented arms take about three times as long, so they go first
+    # augmented arms take about 2.5 times as long as plain ones, so they go first
     jobs = [(i, True) for i in range(k)] if technique is not None else []
     if cached is None:
         jobs += [(i, False) for i in range(k)]

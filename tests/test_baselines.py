@@ -285,24 +285,88 @@ def one_type_corpus():
     return Corpus(corpus.documents, mention_types=("Activity",), relation_types=("Flow",))
 
 
+def conflicting_corpus():
+    """Two documents with the same tokens whose golds disagree: "form" is a
+    Data mention in one only, and the pair (files, clerk) is a Performer
+    relation in one only. With fixed weights both copies get the same
+    predictions, so no epoch can pass without a mistake."""
+    tokens = [("clerk", 0), ("files", 0), ("form", 0)]
+    mentions = [Mention("a", "Actor", 0, 0), Mention("v", "Activity", 1, 1)]
+    docs = (
+        make_document("x", tokens, mentions, [Relation("p", "Performer", "v", "a")]),
+        make_document("y", tokens, mentions + [Mention("d", "Data", 2, 2)]),
+    )
+    return Corpus(docs, mention_types=("Actor", "Activity", "Data"), relation_types=("Performer",))
+
+
 ORACLE_CORPORA = {
     "fixture": lambda: fixture_corpus(12),
     "synonym": lambda: synonym_class_corpus(30),
     "separable_tagger": separable_tagger_corpus,
     "single_token_sentences": single_token_corpus,
     "one_mention_type": one_type_corpus,
+    "conflicting": conflicting_corpus,
 }
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CORPORA))
 @pytest.mark.parametrize("seed", [0, 11])
-@pytest.mark.parametrize("epochs", [1, 5])
+@pytest.mark.parametrize("epochs", [1, 2, 5, 30])
 def test_packed_training_equals_reference_perceptron(name, seed, epochs):
     corpus = ORACLE_CORPORA[name]()
     tagger = train_tagger(corpus, epochs=epochs, seed=seed)
     assert tagger.weights == reference_tagger_weights(corpus, epochs, seed)
     relations = train_relations(corpus, epochs=epochs, seed=seed)
     assert relations.weights == reference_relation_weights(corpus, epochs, seed)
+
+
+def counting_random(monkeypatch):
+    """Make baselines._train draw from a Random that counts its shuffles."""
+    calls = []
+
+    class CountingRandom(Random):
+        def shuffle(self, x):
+            calls.append(len(x))
+            super().shuffle(x)
+
+    monkeypatch.setattr(baselines, "Random", CountingRandom)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make_corpus, train, reference",
+    [
+        (separable_tagger_corpus, train_tagger, reference_tagger_weights),
+        (separable_relation_corpus, train_relations, reference_relation_weights),
+    ],
+    ids=["tagger", "relations"],
+)
+def test_training_stops_after_the_first_clean_epoch(monkeypatch, make_corpus, train, reference):
+    corpus = make_corpus()
+    shuffles = counting_random(monkeypatch)
+    model = train(corpus, epochs=50, seed=0)
+    assert 0 < len(shuffles) < 50
+    assert model.weights == reference(corpus, 50, 0)
+
+
+def test_an_epoch_with_one_mistake_at_its_start_is_not_clean(monkeypatch):
+    # Mistakes fall on decisions 2 and 3 in epoch 1, on decision 1 alone in
+    # epoch 2, on 1 and 2 in epoch 3 and on none in epoch 4, so training
+    # stops after epoch 4.
+    prepared = [[(("b", "c"), 0), (("b",), 2), (("a", "c"), 1)]]
+    shuffles = counting_random(monkeypatch)
+    assert baselines._train(prepared, 3, epochs=6, seed=0) == reference_train(prepared, 3, 6, 0)
+    assert len(shuffles) == 4
+
+
+def test_training_that_never_converges_runs_every_epoch(monkeypatch):
+    corpus = conflicting_corpus()
+    shuffles = counting_random(monkeypatch)
+    train_tagger(corpus, epochs=50, seed=0)
+    assert len(shuffles) == 50
+    shuffles.clear()
+    train_relations(corpus, epochs=50, seed=0)
+    assert len(shuffles) == 50
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CORPORA))

@@ -9,6 +9,8 @@
 * serialize_corpus writes the bytes json.dumps writes for the corpus as a
   tree of dicts, and validate_document finds the violations, in the same
   order, that its first, token-by-token implementation finds.
+* The packed perceptron, which stops after its first clean epoch, trains
+  the weights of the plain perceptron that runs every epoch.
 
 Generation is derandomized and the number of examples bounded, so these
 tests are deterministic and take a few seconds.
@@ -22,6 +24,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_baselines import reference_train
+
+from spanaug import baselines
 from spanaug.corpus import (
     Corpus,
     Document,
@@ -392,3 +397,38 @@ def test_techniques_keep_documents_valid_and_relations_conserved(name, doc, seed
         (m.id, m.type) for m in doc.mentions
     )
     assert relation_multiset(result) == relation_multiset(doc)
+
+
+@st.composite
+def perceptron_inputs(draw):
+    """n classes and sequences of (features, gold). Either each gold is
+    the class of the decision's first feature in "abc" order, which three
+    features make separable, so a clean epoch is common, or the golds are
+    free. A copy of one sequence with one gold changed makes a clean epoch
+    impossible."""
+    n = draw(st.integers(2, 4))
+    label = dict(zip("abc", draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3))))
+    features = st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True).map(sorted)
+    if draw(st.booleans()):
+        decision = features.map(lambda fs: (tuple(fs), label[fs[0]]))
+    else:
+        decision = st.tuples(features.map(tuple), st.integers(0, n - 1))
+    prepared = draw(st.lists(st.lists(decision, min_size=1, max_size=4), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        seq = list(draw(st.sampled_from(prepared)))
+        i = draw(st.integers(0, len(seq) - 1))
+        feats, gold = seq[i]
+        seq[i] = (feats, (gold + draw(st.integers(1, n - 1))) % n)
+        prepared.append(seq)
+    return n, prepared
+
+
+@PROPERTY
+@given(perceptron_inputs(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_packed_training_equals_the_reference_perceptron(case, epochs, seed, tagged):
+    n, prepared = case
+    tags = tuple(f"t{c}" for c in range(n)) if tagged else None
+    ptags = tuple(f"ptag={t}" for t in tags) if tagged else None
+    assert baselines._train(prepared, n, epochs, seed, ptags) == reference_train(
+        prepared, n, epochs, seed, tags
+    )
