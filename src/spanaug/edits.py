@@ -33,6 +33,18 @@ mention that comes out shorter than it went in has shrunk. The maps:
 
 apply_edit returns a RemapReport naming the mentions the edit shrank and,
 if it was rejected, why; apply_edits concatenates these in edit order.
+
+apply_edits folds apply_edit over the list, except for the shape that
+most techniques emit: two or more ReplaceSpans, disjoint and strictly
+rightmost first (each end before the previous start). Such a list is
+applied in one pass: each edit is checked against the original document,
+the tokens are built once, and each mention moves once through the
+composed maps. This equals the fold. Every earlier edit lies wholly to
+the right of the one being checked, so the tokens up to its end are the
+original ones, a mention start or end left of its end has not moved, and
+one right of it is still right of it after the earlier edits. The range,
+text, straddle, swallow and sentence verdicts compare only these, and the
+range message names the length the fold would have reached.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Sequence
 
 from .corpus import Document, Mention, Token, is_token_text
@@ -197,13 +210,29 @@ def _delete(d: Document, e: DeleteTokens) -> _Applied:
 
 
 def _replace_span(d: Document, e: ReplaceSpan) -> _Applied:
-    n = len(d.tokens)
+    new_tokens, delta = _checked_replacement(d, e, len(d.tokens))
+    s = e.start
+
+    # a mention covering the replacement keeps its start and moves its end
+    def start_of(i: int) -> int:
+        return i if i <= s else i + delta
+
+    def end_of(i: int) -> int:
+        return i if i < s else i + delta
+
+    return d.tokens[: e.start] + new_tokens + d.tokens[e.end + 1 :], start_of, end_of
+
+
+def _checked_replacement(d: Document, e: ReplaceSpan, n: int) -> tuple[tuple[Token, ...], int]:
+    """The replacement tokens of e and the change in length, checked
+    against d's tokens up to e.end and d's mentions; n is the length of
+    the document e applies to."""
     if not (0 <= e.start <= e.end < n):
         raise EditError(f"replace span [{e.start},{e.end}] out of range for {n} tokens")
     texts = _check_texts(e.texts)
     if not texts:
         raise EditError("replacement texts must be non-empty")
-    s, delta = e.start, len(texts) - (e.end - e.start + 1)
+    delta = len(texts) - (e.end - e.start + 1)
 
     for m in d.mentions:
         straddles_left = m.start < e.start <= m.end < e.end
@@ -224,15 +253,7 @@ def _replace_span(d: Document, e: ReplaceSpan) -> _Applied:
         )
     else:
         raise _Rejected("length-changing replacement across a sentence boundary")
-
-    # a mention covering the replacement keeps its start and moves its end
-    def start_of(i: int) -> int:
-        return i if i <= s else i + delta
-
-    def end_of(i: int) -> int:
-        return i if i < s else i + delta
-
-    return d.tokens[: e.start] + new_tokens + d.tokens[e.end + 1 :], start_of, end_of
+    return new_tokens, delta
 
 
 def _swap(d: Document, e: SwapTokens) -> _Applied:
@@ -323,9 +344,56 @@ def apply_edit(d: Document, e: Edit) -> tuple[Document, RemapReport]:
     return Document(d.id, tokens, tuple(mentions), d.relations), RemapReport(tuple(shrunk))
 
 
+def _replace_spans(d: Document, edits: Sequence[ReplaceSpan]) -> tuple[Document, RemapReport]:
+    """apply_edits in one pass for disjoint, rightmost-first ReplaceSpans
+    (see the module docstring)."""
+    n, applied, rejected = len(d.tokens), [], []
+    for e in edits:
+        try:
+            new_tokens, delta = _checked_replacement(d, e, n)
+        except _Rejected as r:
+            rejected.append(RejectedEdit(e, r.args[0]))
+            continue
+        applied.append((e, new_tokens, delta))
+        n += delta
+    # starts: the applied spans' starts, ascending; shift[k]: the change in
+    # length made by the k leftmost of them
+    tokens, pos, starts, shift = [], 0, [], [0]
+    for e, new_tokens, delta in reversed(applied):
+        tokens += d.tokens[pos : e.start] + new_tokens
+        pos = e.end + 1
+        starts.append(e.start)
+        shift.append(shift[-1] + delta)
+    tokens += d.tokens[pos:]
+    # only a mention covering a span changes length, by that edit's delta
+    shrunk = [
+        m.id
+        for e, _, delta in applied
+        if delta < 0
+        for m in d.mentions
+        if m.start <= e.start and e.end <= m.end
+    ]
+    mentions = []
+    for m in d.mentions:
+        start = m.start + shift[bisect_left(starts, m.start)]
+        end = m.end + shift[bisect_right(starts, m.end)]
+        moved = start != m.start or end != m.end
+        mentions.append(Mention(m.id, m.type, start, end) if moved else m)
+    document = Document(d.id, tuple(tokens), tuple(mentions), d.relations)
+    return document, RemapReport(tuple(shrunk), tuple(rejected))
+
+
 def apply_edits(d: Document, edits: Sequence[Edit]) -> tuple[Document, RemapReport]:
     """Fold apply_edit left to right; each edit's indices address the
-    document produced by the previous one. Rejected edits are skipped."""
+    document produced by the previous one. Rejected edits are skipped.
+    Disjoint, rightmost-first ReplaceSpan lists take one pass instead,
+    with the same result."""
+    if (
+        len(edits) > 1
+        and all(type(e) is ReplaceSpan for e in edits)
+        and all(b.end < a.start for a, b in pairwise(edits))
+    ):
+        return _replace_spans(d, edits)
     shrunk: tuple[str, ...] = ()
     rejected: tuple[RejectedEdit, ...] = ()
     doc = d

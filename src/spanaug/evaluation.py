@@ -21,7 +21,7 @@ from .corpus import Corpus, Mention, Relation
 from .lexicon import Lexicon
 from .providers import ParaphraseProvider
 from .seeding import derive_rng, derive_seed
-from .techniques import TechniqueConfig, augment_corpus
+from .techniques import TechniqueConfig, augment_corpus, origin_id
 
 TASKS = ("md", "re")
 
@@ -105,16 +105,25 @@ class GainReport:
     tasks: dict[str, TaskGain] = field(default_factory=dict)
 
 
-def split_folds(n_documents: int, k: int, seed: int) -> list[list[int]]:
-    """Seeded shuffle then round-robin striding; every document lands in
-    exactly one fold and fold sizes differ by at most one."""
+def split_folds(doc_ids: Sequence[str], k: int, seed: int) -> list[list[int]]:
+    """Document indices per fold. Documents are grouped by origin_id, so
+    a document and its synthetic copies share a fold; the groups, in order
+    of first appearance, get a seeded shuffle and are dealt round-robin.
+    Every document lands in exactly one fold. Fold sizes differ by at most
+    one when every group is a single document, and may differ by more
+    otherwise."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if k > n_documents:
-        raise ValueError(f"cannot split {n_documents} documents into {k} folds")
-    order = list(range(n_documents))
+    groups: dict[str, list[int]] = {}
+    for i, doc_id in enumerate(doc_ids):
+        groups.setdefault(origin_id(doc_id), []).append(i)
+    if k > len(groups):
+        raise ValueError(
+            f"cannot split {len(doc_ids)} documents into {k} folds ({len(groups)} origins)"
+        )
+    order = list(groups.values())
     derive_rng(seed, "folds").shuffle(order)
-    return [order[i::k] for i in range(k)]
+    return [[i for group in order[f::k] for i in group] for f in range(k)]
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -280,7 +289,7 @@ def cross_validate(
         raise ValueError(f"window must be >= 0, got {window}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    folds = split_folds(len(corpus.documents), k, seed)
+    folds = split_folds([d.id for d in corpus.documents], k, seed)
     if technique is not None:
         technique.resolved  # checks the config, so no fold trains first
 

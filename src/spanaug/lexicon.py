@@ -14,6 +14,13 @@ Lookups are case-insensitive on the surface form; callers re-apply the
 original token's initial capital via :func:`match_case`. A small bundled
 process-domain lexicon keeps the toolkit self-contained; production users
 export a richer one from a lexical database in the same format.
+
+:meth:`Lexicon.substitutes`, the per-token site lookup that lexicon
+substitution and synonym insertion share, is memoized on the lexicon
+itself, keyed by (mode, token text) and filled on first use. The memo
+lives exactly as long as the lexicon (the CLI loads one per command, so
+every fold and trial of a command shares it), is left out of repr and
+equality, and a new lexicon starts with an empty one.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ class Lexicon:
     fillers: tuple[str, ...] = ()
     stopwords: frozenset[str] = frozenset()
     pos: dict[str, str] = field(default_factory=dict)  # lowercased surface -> tag
+    # (mode, token text) -> substitutes, filled by substitutes()
+    _substitutes: dict[tuple[str, str], tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def coarse_pos(self, text: str) -> str:
         """Dictionary POS tag for a surface form, OTHER when unknown."""
@@ -70,6 +81,22 @@ class Lexicon:
 
     def is_stopword(self, text: str) -> bool:
         return text.lower() in self.stopwords
+
+    def substitutes(self, text: str, mode: str) -> tuple[str, ...]:
+        """Words that may replace a token under a substitution mode, ()
+        when none: "synonym" gives the synonyms of a non-stop word,
+        "adjective_antonym" the adjective antonyms of a word tagged ADJ,
+        and any other mode ("antonym_even") the antonyms. Memoized."""
+        found = self._substitutes.get((mode, text))
+        if found is None:
+            if mode == "synonym":
+                found = () if self.is_stopword(text) else self.synonyms(text)
+            elif mode == "adjective_antonym":
+                found = self.antonyms(text, "ADJ") if self.coarse_pos(text) == "ADJ" else ()
+            else:
+                found = self.antonyms(text)
+            self._substitutes[mode, text] = found
+        return found
 
 
 def match_case(replacement: str, original: str) -> str:

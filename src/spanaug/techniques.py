@@ -16,7 +16,7 @@ on any other.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
@@ -317,14 +317,8 @@ def _filler_word_insertion(d, params, rng, ctx):
 
 
 def _synonym_insertion(d, params, rng, ctx):
-    lex = ctx.lexicon
-    sites = []
-    for i, tok in enumerate(d.tokens):
-        if lex.is_stopword(tok.text):
-            continue
-        synonyms = lex.synonyms(tok.text)
-        if synonyms:
-            sites.append((i, synonyms))
+    substitutes = ctx.lexicon.substitutes
+    sites = [(i, s) for i, t in enumerate(d.tokens) if (s := substitutes(t.text, "synonym"))]
     if not sites:
         return [], False
     chosen = []
@@ -338,17 +332,9 @@ def _synonym_insertion(d, params, rng, ctx):
 
 
 def _lexicon_substitution(d, params, rng, ctx):
-    lex = ctx.lexicon
+    substitutes = ctx.lexicon.substitutes
     mode = params["mode"]
-
-    def lookup(text: str) -> tuple[str, ...]:
-        if mode == "synonym":
-            return () if lex.is_stopword(text) else lex.synonyms(text)
-        if mode == "adjective_antonym":
-            return lex.antonyms(text, "ADJ") if lex.coarse_pos(text) == "ADJ" else ()
-        return lex.antonyms(text)  # antonym_even
-
-    sites = [(i, options) for i, t in enumerate(d.tokens) if (options := lookup(t.text))]
+    sites = [(i, s) for i, t in enumerate(d.tokens) if (s := substitutes(t.text, mode))]
     if len(sites) < (2 if mode == "antonym_even" else 1):
         return [], False
 
@@ -789,5 +775,5 @@ def augment_corpus(
         for k in range(cfg.n_aug):
             rng = derive_rng(seed, d.id, technique.name, k)
             doc, _ = apply_technique(d, cfg, rng, ctx)
-            out.append(replace(doc, id=f"{d.id}-aug{k + 1}"))
+            out.append(Document(f"{d.id}-aug{k + 1}", doc.tokens, doc.mentions, doc.relations))
     return out

@@ -11,6 +11,7 @@ import pytest
 from corpora import random_fixture_document
 
 import spanaug
+import spanaug.edits as edits_module
 from spanaug.corpus import Document, Mention, Token, make_document, validate_document
 from spanaug.edits import (
     DeleteTokens,
@@ -18,6 +19,7 @@ from spanaug.edits import (
     InsertTokens,
     MergeSentences,
     PermuteSentences,
+    RejectedEdit,
     RemapReport,
     ReplaceSpan,
     SwapTokens,
@@ -221,6 +223,64 @@ def test_sequential_deletes_fold_left_to_right(d1):
     assert report.mentions_shrunk == ("M1",)
     assert report.rejected == ()
     assert relation_multiset(doc) == relation_multiset(d1)
+
+
+def recorded_apply_edit(monkeypatch):
+    calls = []
+
+    def recording(d, e):
+        calls.append(e)
+        return apply_edit(d, e)
+
+    monkeypatch.setattr(edits_module, "apply_edit", recording)
+    return calls
+
+
+def test_rightmost_first_replacements_take_one_pass(d1, monkeypatch):
+    calls = recorded_apply_edit(monkeypatch)
+    swallow = ReplaceSpan(3, 5, ("z",))
+    doc, report = apply_edits(
+        d1, [ReplaceSpan(8, 8, ("looked", "at")), swallow, ReplaceSpan(1, 2, ("it",))]
+    )
+    assert calls == []
+    assert [t.text for t in doc.tokens] == (
+        "After it is registered , it is looked at .".split()
+    )
+    assert spans(doc) == [("M1", 1, 1), ("M2", 3, 3), ("M3", 5, 5), ("M4", 7, 8)]
+    assert report == RemapReport(
+        ("M1",), (RejectedEdit(swallow, "replacement would swallow mention M2"),)
+    )
+
+
+def test_one_pass_reports_shrinks_in_edit_order_then_mention_order():
+    doc = make_document(
+        "s",
+        [(t, 0) for t in "a b c d e f g h".split()],
+        [Mention("X", "Actor", 0, 1), Mention("Y", "Actor", 3, 7)],
+    )
+    edits = [ReplaceSpan(6, 7, ("q",)), ReplaceSpan(4, 5, ("r",)), ReplaceSpan(0, 1, ("p",))]
+    result, report = apply_edits(doc, edits)
+    assert report.mentions_shrunk == ("Y", "Y", "X")
+    assert spans(result) == [("X", 0, 0), ("Y", 2, 4)]
+    assert validate_document(result) == []
+
+
+def test_other_lists_fold(d1, monkeypatch):
+    calls = recorded_apply_edit(monkeypatch)
+    single = [ReplaceSpan(8, 8, ("checked",))]
+    left_first = [ReplaceSpan(1, 2, ("it",)), ReplaceSpan(7, 7, ("gets",))]
+    touching = [ReplaceSpan(8, 8, ("checked",)), ReplaceSpan(7, 8, ("x",))]
+    mixed = [ReplaceSpan(8, 8, ("checked",)), DeleteTokens(frozenset({0}))]
+    for edits in (single, left_first, touching, mixed):
+        calls.clear()
+        apply_edits(d1, edits)
+        assert calls == edits
+
+
+def test_one_pass_range_error_names_the_length_the_fold_reached(d1):
+    edits = [ReplaceSpan(9, 9, (".", "Then", "stop", ".")), ReplaceSpan(-1, 0, ("x",))]
+    with pytest.raises(EditError, match=r"replace span \[-1,0\] out of range for 13 tokens"):
+        apply_edits(d1, edits)
 
 
 # --- free spans --------------------------------------------------------------

@@ -16,8 +16,8 @@ from spanaug.evaluation import (
     score_relations,
     split_folds,
 )
-from spanaug.seeding import derive_seed
-from spanaug.techniques import TechniqueConfig
+from spanaug.seeding import derive_rng, derive_seed
+from spanaug.techniques import TechniqueConfig, augment_corpus, origin_id
 
 TYPES = ("Actor", "Activity")
 
@@ -177,18 +177,50 @@ def test_f1_zero_when_both_empty():
 # --- fold splitting --------------------------------------------------------------
 
 
+def ids(n):
+    return [f"doc-{i}" for i in range(n)]
+
+
 def test_fold_sizes_and_partition():
-    folds = split_folds(10, 5, seed=7)
+    folds = split_folds(ids(10), 5, seed=7)
     assert all(len(f) == 2 for f in folds)
     assert sorted(i for f in folds for i in f) == list(range(10))
-    assert split_folds(10, 5, seed=7) == folds  # deterministic
+    assert split_folds(ids(10), 5, seed=7) == folds  # deterministic
 
 
 def test_fold_arguments_checked():
     with pytest.raises(ValueError):
-        split_folds(3, 5, seed=0)
+        split_folds(ids(3), 5, seed=0)
     with pytest.raises(ValueError):
-        split_folds(10, 1, seed=0)
+        split_folds(ids(10), 1, seed=0)
+
+
+@pytest.mark.parametrize("n, k, seed", [(10, 5, 7), (8, 3, 0), (23, 4, 11), (100, 5, 3)])
+def test_singleton_groups_give_the_striped_folds(n, k, seed):
+    # the split before documents were grouped: shuffle the indices, stride
+    order = list(range(n))
+    derive_rng(seed, "folds").shuffle(order)
+    assert split_folds(ids(n), k, seed) == [order[i::k] for i in range(k)]
+
+
+def test_more_folds_than_origins_is_rejected():
+    doc_ids = ["a", "a-aug1", "a-aug2", "b", "b-aug1-aug1"]
+    assert len(split_folds(doc_ids, 2, seed=0)) == 2
+    with pytest.raises(ValueError, match=r"cannot split 5 documents into 3 folds \(2 origins\)"):
+        split_folds(doc_ids, 3, seed=0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_folds_of_augment_output_keep_each_origin_in_one_fold(corpus20, seed):
+    cfg = TechniqueConfig("random_token_swap", {"s": 1}, n_aug=2)
+    documents = corpus20.documents + tuple(augment_corpus(corpus20, cfg, seed=seed))
+    doc_ids = [d.id for d in documents]
+    folds = split_folds(doc_ids, 4, seed)
+    assert sorted(i for f in folds for i in f) == list(range(len(documents)))
+    for fold in folds:
+        test_origins = {origin_id(doc_ids[i]) for i in fold}
+        train_origins = {origin_id(doc_ids[i]) for f in folds if f is not fold for i in f}
+        assert test_origins and not test_origins & train_origins
 
 
 # --- cross validation --------------------------------------------------------------

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
-from spanaug.lexicon import LexiconError, builtin_lexicon, load_lexicon, match_case
+import spanaug
+from spanaug.corpus import load_corpus
+from spanaug.lexicon import Lexicon, LexiconError, builtin_lexicon, load_lexicon, match_case
 
 
 def write_lexicon(tmp_path, synonyms="", abbreviations="", fillers="", stopwords=""):
@@ -102,3 +106,52 @@ def test_builtin_lexicon_satisfies_invariants():
     assert lex.coarse_pos("examined") == "VERB"
     assert "inspected" in lex.synonyms("examined")
     assert "small" in lex.antonyms("large", "ADJ")
+
+
+# --- the substitutes memo ----------------------------------------------------------
+
+MODES = ("synonym", "adjective_antonym", "antonym_even")
+SAMPLE_CORPUS = Path(spanaug.__file__).parent / "data" / "sample_corpus.json"
+
+
+def unmemoized_substitutes(lex, text, mode):
+    if mode == "synonym":
+        return () if lex.is_stopword(text) else lex.synonyms(text)
+    if mode == "adjective_antonym":
+        return lex.antonyms(text, "ADJ") if lex.coarse_pos(text) == "ADJ" else ()
+    return lex.antonyms(text)
+
+
+def test_memoized_substitutes_equal_a_fresh_lexicons_lookup():
+    texts = {t.text for d in load_corpus(SAMPLE_CORPUS).documents for t in d.tokens}
+    texts |= {t.upper() for t in texts} | {t.capitalize() for t in texts}
+    memoized, fresh = builtin_lexicon(), builtin_lexicon()
+    found = set()
+    for mode in MODES:
+        for text in sorted(texts):
+            expected = unmemoized_substitutes(fresh, text, mode)
+            assert memoized.substitutes(text, mode) == expected  # fills the memo
+            assert memoized.substitutes(text, mode) == expected  # reads it
+            if expected:
+                found.add(mode)
+    assert found == set(MODES)  # every mode found sites in the corpus
+    assert len(memoized._substitutes) == len(MODES) * len(texts)
+    assert fresh._substitutes == {}
+
+
+def test_a_used_lexicon_still_equals_a_fresh_one():
+    used, fresh = builtin_lexicon(), builtin_lexicon()
+    used.substitutes("examined", "synonym")
+    assert used._substitutes
+    assert used == fresh
+    assert repr(used) == repr(fresh)
+
+
+def test_every_lexicon_starts_with_an_empty_memo_of_its_own(tmp_path):
+    builtin_lexicon().substitutes("large", "adjective_antonym")
+    assert Lexicon()._substitutes == {}
+    assert builtin_lexicon()._substitutes == {}
+    lex = write_lexicon(tmp_path, synonyms="large\tADJ\tant\tsmall\n")
+    assert lex._substitutes == {}
+    assert lex.substitutes("Large", "adjective_antonym") == ("small",)
+    assert Lexicon()._substitutes is not Lexicon()._substitutes

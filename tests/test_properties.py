@@ -4,6 +4,9 @@
   conserves the multiset of (relation type, head id, tail id).
 * An applied edit keeps the token texts of every mention it does not touch.
 * So does every technique, at any parameter values in its space.
+* A disjoint, rightmost-first list of ReplaceSpans, which apply_edits
+  applies in one pass, gives the document, the report and any EditError
+  of the left fold of apply_edit.
 * A corpus survives serialize_corpus then parse_corpus unchanged, and one
   parse shares one Token per distinct (text, sentence).
 * serialize_corpus writes the bytes json.dumps writes for the corpus as a
@@ -40,9 +43,11 @@ from spanaug.corpus import (
 )
 from spanaug.edits import (
     DeleteTokens,
+    EditError,
     InsertTokens,
     MergeSentences,
     PermuteSentences,
+    RemapReport,
     ReplaceSpan,
     SwapTokens,
     apply_edit,
@@ -172,6 +177,66 @@ def test_an_applied_edit_keeps_the_texts_of_mentions_it_does_not_touch(data):
     for m in doc.mentions:
         if untouched(edit, m):
             assert result.mention_texts(result.mention_by_id(m.id)) == doc.mention_texts(m)
+
+
+REPLACEMENT_TEXTS = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(tuple)
+# empty, or holding an empty or whitespace text
+BAD_TEXTS = st.sampled_from([(), ("a b",), ("ok", ""), ("\u00a0",)])
+
+
+@st.composite
+def rightmost_first_replacements(draw):
+    """A document and 2-4 ReplaceSpans of width 1 up, disjoint and each
+    ending before the previous one starts. Some lists hold a span that is
+    out of range for the document the fold has reached at that edit, or
+    empty or whitespace texts."""
+    doc = draw(documents())
+    if draw(st.integers(0, 3)) == 0:  # no labels: sentence boundaries decide
+        doc = Document(doc.id, doc.tokens)
+    n = len(doc.tokens)
+    assume(n >= 2)
+    starts = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=4)))
+    limits = [b - 1 for b in starts[1:]] + [n - 1]
+    invalid = draw(st.integers(0, 9))  # 0-2: a range error, 3-4: bad texts
+    spans = [(s, min(limit, s + draw(st.integers(0, 3)))) for s, limit in zip(starts, limits)]
+    if invalid == 0:
+        spans[0] = (-draw(st.integers(1, 2)), spans[0][1])
+    elif invalid == 1:
+        spans[-1] = (spans[-1][0], n + draw(st.integers(0, 2)))
+    elif invalid == 2:
+        k = draw(st.integers(0, len(spans) - 1))
+        spans[k] = (spans[k][1], spans[k][1] - 1)
+    texts = REPLACEMENT_TEXTS | BAD_TEXTS if invalid in (3, 4) else REPLACEMENT_TEXTS
+    edits = [ReplaceSpan(s, e, draw(texts)) for s, e in reversed(spans)]
+    return doc, edits
+
+
+def folded(doc: Document, edits):
+    """apply_edits as a left fold of apply_edit, or the EditError raised."""
+    shrunk, rejected = (), ()
+    try:
+        for e in edits:
+            doc, step = apply_edit(doc, e)
+            shrunk += step.mentions_shrunk
+            rejected += step.rejected
+    except EditError as error:
+        return type(error), str(error)
+    return doc, RemapReport(shrunk, rejected)
+
+
+def one_pass(doc: Document, edits):
+    try:
+        return apply_edits(doc, edits)
+    except EditError as error:
+        return type(error), str(error)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(rightmost_first_replacements())
+def test_one_pass_replacements_equal_the_fold(case):
+    doc, edits = case
+    assert all(b.end < a.start for a, b in zip(edits, edits[1:]))
+    assert one_pass(doc, edits) == folded(doc, edits)
 
 
 @st.composite

@@ -196,6 +196,17 @@ def test_synonym_insertion_empty_lexicon_is_noop(d1):
     assert out == d1
 
 
+def test_synonym_insertion_and_substitution_share_the_lexicons_memo(corpus20):
+    lex = builtin_lexicon()
+    augment_corpus(corpus20, TechniqueConfig("synonym_insertion", {"p": 0.5}), 1, lexicon=lex)
+    filled = dict(lex._substitutes)
+    assert filled and {mode for mode, _ in filled} == {"synonym"}
+    assert {text for _, text in filled} == {t.text for d in corpus20.documents for t in d.tokens}
+    cfg = TechniqueConfig("lexicon_substitution", {"mode": "synonym", "p": 0.5}, n_aug=3)
+    augment_corpus(corpus20, cfg, 2, lexicon=lex)
+    assert lex._substitutes == filled  # every lookup was already there
+
+
 # --- lexicon substitution -----------------------------------------------------------
 
 
