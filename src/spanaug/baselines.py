@@ -12,6 +12,14 @@ a mistake updates a row with one addition. Training stops after the first
 epoch that makes no mistake: with the weights unchanged, every later epoch
 would repeat its predictions, so the model is the one all ``epochs``
 epochs give, bit for bit.
+
+Features come from one pass per document: a word's token-feature strings
+are built once, and for relations each mention's strings once, each type
+pair's once, and distances come from constant tables. A document memoizes
+its model inputs (token features, tagger rows per tag set, pairs per
+window, relation rows per window and class set) on first use, out of its
+repr and equality, for as long as it lives: a CLI command's originals for
+the whole command, so every fold, arm, trial and forked lane reuses them.
 """
 
 from __future__ import annotations
@@ -50,23 +58,45 @@ def _tag_set(mention_types) -> tuple[str, ...]:
     return tuple(tags)
 
 
-def _token_features(d: Document, start: int, end: int) -> list[tuple[str, ...]]:
-    """Static per-token features for the sentence tokens[start:end+1]."""
-    texts = [t.text for t in d.tokens[start : end + 1]]
-    lower = [t.lower() for t in texts]
-    feats = []
-    for i, w in enumerate(lower):
-        feats.append(
-            (
-                f"w={w}",
-                f"pre={w[:3]}",
-                f"suf={w[-3:]}",
-                f"cap={texts[i][:1].isupper()}",
-                f"prev={lower[i - 1] if i else '<s>'}",
-                f"next={lower[i + 1] if i + 1 < len(lower) else '</s>'}",
-            )
+def _memo(d: Document) -> dict:
+    """The document's memo of model inputs, created on first use."""
+    memo = d._model_inputs
+    if memo is None:
+        memo = {}
+        object.__setattr__(d, "_model_inputs", memo)
+    return memo
+
+
+def _sentence_features(
+    d: Document, words: dict | None = None
+) -> list[tuple[int, int, tuple[tuple[str, ...], ...]]]:
+    """(start, end, per-token features) for each sentence, memoized: the
+    lowercased word, its 3-letter prefix and suffix, an initial capital,
+    and the neighbouring words ("<s>", "</s>" past the sentence). A word's
+    strings are built once per ``words`` table, which documents may share."""
+    memo = _memo(d)
+    found = memo.get("tokens")
+    if found is not None:
+        return found
+    if words is None:
+        words = {}
+    found = []
+    for _, start, end in sentence_spans(d):
+        texts = [t.text for t in d.tokens[start : end + 1]]
+        strings = []
+        for w in map(str.lower, texts):
+            ws = words.get(w)
+            if ws is None:
+                ws = words[w] = (f"w={w}", f"pre={w[:3]}", f"suf={w[-3:]}", f"prev={w}", f"next={w}")
+            strings.append(ws)
+        word, pre, suf, prev, next_ = zip(*strings)
+        cap = ["cap=True" if text[:1].isupper() else "cap=False" for text in texts]
+        feats = tuple(
+            zip(word, pre, suf, cap, ("prev=<s>",) + prev[:-1], next_[1:] + ("next=</s>",))
         )
-    return feats
+        found.append((start, end, feats))
+    memo["tokens"] = found
+    return found
 
 
 def _gold_tags(d: Document, start: int, end: int, tag_index: dict[str, int]) -> list[int]:
@@ -175,21 +205,29 @@ def train_tagger(train: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
     tag_index = {t: i for i, t in enumerate(tags)}
 
     prepared = []
+    words: dict = {}
     for d in train.documents:
-        for _, s, e in sentence_spans(d):
-            prepared.append(list(zip(_token_features(d, s, e), _gold_tags(d, s, e, tag_index))))
+        memo = _memo(d)
+        rows = memo.get(("tagger", tags))
+        if rows is None:
+            rows = memo["tagger", tags] = [
+                tuple(zip(feats, _gold_tags(d, s, e, tag_index)))
+                for s, e, feats in _sentence_features(d, words)
+            ]
+        prepared += rows
     ptags = tuple(f"ptag={t}" for t in tags)
     return TaggerModel(tags, _train(prepared, len(tags), epochs, seed, ptags))
 
 
 def predict_tags(model: TaggerModel, d: Document) -> list[str]:
+    ptags = [f"ptag={t}" for t in model.tags]
     out = []
-    for _, s, e in sentence_spans(d):
-        prev = "<s>"
-        for feats in _token_features(d, s, e):
-            tag = model.tags[_predict(model.weights, feats + (f"ptag={prev}",))]
-            out.append(tag)
-            prev = tag
+    for _, _, sentence in _sentence_features(d):
+        prev = "ptag=<s>"
+        for feats in sentence:
+            c = _predict(model.weights, feats + (prev,))
+            out.append(model.tags[c])
+            prev = ptags[c]
     return out
 
 
@@ -199,7 +237,7 @@ def predict_mentions(model: TaggerModel, d: Document) -> list[Mention]:
     decoding restarts per sentence."""
     tags = predict_tags(model, d)
     mentions: list[Mention] = []
-    boundaries = {s for _, s, _ in sentence_spans(d)}
+    boundaries = {s for s, _, _ in _sentence_features(d)}
     open_type = None
     open_start = 0
     for i, tag in enumerate(tags):
@@ -222,53 +260,68 @@ def predict_mentions(model: TaggerModel, d: Document) -> list[Mention]:
     return mentions
 
 
-_DIST_EDGES = (1, 2, 3, 4, 5, 10)
+# The bucket of a distance or gap by magnitude 0..11: the smallest of the
+# edges 1, 2, 3, 4, 5 and 10 not below it, or ">10" past them. Larger
+# magnitudes share the bucket of 11, so values are clamped to [-11, 11].
+_FAR = 11
+_EDGES = ("1", "1", "2", "3", "4", "5", "10", "10", "10", "10", "10", ">10")
+_BUCKET = {v: f"{'-' if v < 0 else '+'}{_EDGES[abs(v)]}" for v in range(-_FAR, _FAR + 1)}
+_DIST = {v: f"dist={bucket}" for v, bucket in _BUCKET.items()}
+_GAP = {v: f"gap={bucket}" for v, bucket in _BUCKET.items()}
+# a sentence distance is at most the window; past _SDIST_MAX it is formatted
+_SDIST_MAX = 10
+_SDIST = {v: f"sdist={v}" for v in range(-_SDIST_MAX, _SDIST_MAX + 1)}
 
 
-def _bucket(value: int) -> str:
-    mag = abs(value)
-    for edge in _DIST_EDGES:
-        if mag <= edge:
-            label = str(edge)
-            break
-    else:
-        label = ">10"
-    return f"-{label}" if value < 0 else f"+{label}"
-
-
-def _pair_features(d: Document, head: Mention, tail: Mention) -> tuple[str, ...]:
-    hs = d.tokens[head.start].sentence
-    ts = d.tokens[tail.start].sentence
-    if head.start < tail.start:
-        gap = tail.start - head.end - 1
-    else:
-        gap = head.start - tail.end - 1
-    hw = d.tokens[head.start].text.lower()
-    tw = d.tokens[tail.start].text.lower()
-    return (
-        f"ht={head.type}",
-        f"tt={tail.type}",
-        f"pair={head.type}>{tail.type}",
-        f"order={'HT' if head.start < tail.start else 'TH'}",
-        f"dist={_bucket(tail.start - head.start)}",
-        f"gap={_bucket(gap)}",
-        f"sdist={ts - hs}",
-        f"hw={hw}",
-        f"tw={tw}",
-        f"hw,tw={hw}|{tw}",
-    )
-
-
-def _candidate_pairs(d: Document, window: int) -> list[tuple[Mention, Mention]]:
-    ms = sorted(d.mentions, key=lambda m: m.start)
-    pairs = []
-    for head in ms:
-        for tail in ms:
-            if head.id == tail.id:
+def _relation_pairs(d: Document, window: int) -> list[tuple[Mention, Mention, tuple[str, ...]]]:
+    """(head, tail, features) for every ordered pair of mentions whose
+    first tokens lie at most ``window`` sentences apart, memoized per
+    window: head-major over the mentions stable-sorted by start, skipping
+    a tail with the head's id."""
+    memo = _memo(d)
+    found = memo.get(("pairs", window))
+    if found is not None:
+        return found
+    sides = []  # per mention: itself, its sentence, its strings as head and as tail
+    for m in sorted(d.mentions, key=lambda m: m.start):
+        first = d.tokens[m.start]
+        w = first.text.lower()
+        sides.append(
+            (m, first.sentence, f"ht={m.type}", f"tt={m.type}", f"hw={w}", f"tw={w}", f"hw,tw={w}|", w)
+        )
+    pair_strings: dict[str, dict[str, str]] = {}
+    found = []
+    for head, hsent, ht, _, hw, _, hwtw, _ in sides:
+        hid, hstart, hend = head.id, head.start, head.end
+        by_tail = pair_strings.setdefault(head.type, {})
+        for tail, tsent, _, tt, _, tw, _, word in sides:
+            sdist = tsent - hsent
+            if tail.id == hid or sdist > window or -sdist > window:
                 continue
-            if abs(d.tokens[head.start].sentence - d.tokens[tail.start].sentence) <= window:
-                pairs.append((head, tail))
-    return pairs
+            pair = by_tail.get(tail.type)
+            if pair is None:
+                pair = by_tail[tail.type] = f"pair={head.type}>{tail.type}"
+            tstart = tail.start
+            if hstart < tstart:
+                order, gap = "order=HT", tstart - hend - 1
+            else:
+                order, gap = "order=TH", hstart - tail.end - 1
+            dist = tstart - hstart
+            feats = (
+                ht,
+                tt,
+                pair,
+                order,
+                _DIST[-_FAR if dist < -_FAR else _FAR if dist > _FAR else dist],
+                _GAP[-_FAR if gap < -_FAR else _FAR if gap > _FAR else gap],
+                _SDIST[sdist] if -_SDIST_MAX <= sdist <= _SDIST_MAX else f"sdist={sdist}",
+                hw,
+                tw,
+                hwtw + word,
+            )
+            found.append((head, tail, feats))
+    memo["pairs", window] = found
+    return found
 
 
 def train_relations(
@@ -289,10 +342,15 @@ def train_relations(
 
     prepared = []
     for d in train.documents:
-        gold = {(r.head, r.tail): class_index[r.type] for r in d.relations}
-        for head, tail in _candidate_pairs(d, window):
-            label = gold.get((head.id, tail.id), 0)
-            prepared.append([(_pair_features(d, head, tail), label)])
+        memo = _memo(d)
+        rows = memo.get(("relations", window, classes))
+        if rows is None:
+            gold = {(r.head, r.tail): class_index[r.type] for r in d.relations}
+            rows = memo["relations", window, classes] = [
+                ((feats, gold.get((head.id, tail.id), 0)),)
+                for head, tail, feats in _relation_pairs(d, window)
+            ]
+        prepared += rows
     weights = _train(prepared, len(classes), epochs, seed)
     return RelModel(tuple(train.relation_types), window, weights)
 
@@ -302,8 +360,8 @@ def predict_relations(model: RelModel, d: Document) -> list[Relation]:
     to be attached, gold or predicted."""
     classes = ("<none>",) + tuple(model.relation_types)
     out = []
-    for head, tail in _candidate_pairs(d, model.window):
-        pred = _predict(model.weights, _pair_features(d, head, tail))
+    for head, tail, feats in _relation_pairs(d, model.window):
+        pred = _predict(model.weights, feats)
         if pred != 0:
             out.append(Relation(f"r{len(out)}", classes[pred], head.id, tail.id))
     return out

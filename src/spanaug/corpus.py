@@ -11,7 +11,7 @@ encoding of the baseline tagger only).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import starmap
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -93,6 +93,8 @@ class Document:
     tokens: tuple[Token, ...]
     mentions: tuple[Mention, ...] = ()
     relations: tuple[Relation, ...] = ()
+    # the baseline models' inputs, filled on first use by spanaug.baselines
+    _model_inputs: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def mention_by_id(self, mention_id: str) -> Mention:
         for m in self.mentions:

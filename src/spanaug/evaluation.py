@@ -18,7 +18,7 @@ from .baselines import (
     train_tagger,
 )
 from .corpus import Corpus, Mention, Relation
-from .lexicon import Lexicon
+from .lexicon import Lexicon, builtin_lexicon
 from .providers import ParaphraseProvider
 from .seeding import derive_rng, derive_seed
 from .techniques import TechniqueConfig, augment_corpus, origin_id
@@ -292,6 +292,8 @@ def cross_validate(
     folds = split_folds([d.id for d in corpus.documents], k, seed)
     if technique is not None:
         technique.resolved  # checks the config, so no fold trains first
+        if lexicon is None:  # one lexicon, and one memo, for every arm
+            lexicon = builtin_lexicon()
 
     cache_key = ("baseline", k, seed, epochs, window, tuple(tasks))
     cached = baseline_cache.get(cache_key) if baseline_cache is not None else None

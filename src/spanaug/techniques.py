@@ -171,6 +171,7 @@ class AugmentContext:
     vocabulary: tuple[str, ...]
     donor_documents: tuple[Document, ...]
     _donor_index: dict | None = field(default=None, init=False, repr=False)
+    _long_forms: dict | None = field(default=None, init=False, repr=False)
 
     def donor_index(self) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
         """POS-tag sequence -> free-span token subsequences over the donor
@@ -187,6 +188,19 @@ class AugmentContext:
                             index.setdefault(key, []).append(tuple(texts[a : b + 1]))
             self._donor_index = index
         return self._donor_index
+
+    def long_forms(self) -> dict[str, list[tuple[tuple[str, ...], str]]]:
+        """First word -> (lowercased words, short form) of each long form of
+        two or more words, longest first, then by long form (built once,
+        lazily)."""
+        if self._long_forms is None:
+            self._long_forms = {}
+            by_length = sorted(self.lexicon.expansions.items(), key=lambda e: (-len(e[0].split()), e[0]))
+            for long, short in by_length:
+                form = tuple(w.lower() for w in long.split())
+                if len(form) >= 2:
+                    self._long_forms.setdefault(form[0], []).append((form, short))
+        return self._long_forms
 
 
 def make_context(
@@ -367,29 +381,22 @@ def _auxiliary_negation_removal(d, params, rng, ctx):
     return [DeleteTokens(frozenset({i})) for i in reversed(selected)], True
 
 
-def _abbreviation_matches(d: Document, lex: Lexicon) -> list[tuple[int, int, tuple[str, ...]]]:
+def _abbreviation_matches(d: Document, ctx: AugmentContext) -> list[tuple[int, int, tuple[str, ...]]]:
+    long_forms = ctx.long_forms()
     mask = _mention_mask(d)
-    long_forms = sorted(
-        (
-            (tuple(w.lower() for w in long.split()), short)
-            for long, short in sorted(lex.expansions.items())
-        ),
-        key=lambda f: -len(f[0]),
-    )
+    lower = [t.text.lower() for t in d.tokens]
+    n = len(lower)
     matches = []
     i = 0
-    n = len(d.tokens)
     while i < n:
         hit = None
-        for form, short in long_forms:
-            L = len(form)
-            if L >= 2 and i + L <= n:
-                window = tuple(t.text.lower() for t in d.tokens[i : i + L])
-                if window == form and len({id(mask[j]) for j in range(i, i + L)}) == 1:
-                    hit = (i, i + L - 1, (short,))
-                    break
+        for form, short in long_forms.get(lower[i], ()):
+            end = i + len(form)
+            if end <= n and tuple(lower[i:end]) == form and len({id(mask[j]) for j in range(i, end)}) == 1:
+                hit = (i, end - 1, (short,))
+                break
         if hit is None:
-            long = lex.abbreviations.get(d.tokens[i].text.lower())
+            long = ctx.lexicon.abbreviations.get(lower[i])
             if long:
                 hit = (i, i, _split_words(long))
         if hit:
@@ -401,7 +408,7 @@ def _abbreviation_matches(d: Document, lex: Lexicon) -> list[tuple[int, int, tup
 
 
 def _abbreviation_toggle(d, params, rng, ctx):
-    matches = _abbreviation_matches(d, ctx.lexicon)
+    matches = _abbreviation_matches(d, ctx)
     if not matches:
         return [], False
     chosen = [m for m in matches if rng.random() < params["p"]]
@@ -463,22 +470,39 @@ def _sentence_reordering(d, params, rng, ctx):
 
 def _bounded_order(n, max_disp, rng):
     """A random order of n sentences that moves none by more than max_disp
-    positions; 0 means no bound. Position k takes sentence k - max_disp
-    while it is unused, since no later position may; otherwise it draws
-    uniformly among the unused sentences within max_disp of k, of which
-    there is always one."""
+    positions (0: no bound), uniform over all such orders. Position k takes
+    sentence k - max_disp while it is unused, since no later position may,
+    else an unused sentence within max_disp of k, weighted by the orders
+    that complete the choice. Those counts depend on k and the used set, in
+    which only the window [k - max_disp, k + max_disp) varies: at most
+    C(2 max_disp, max_disp) sets per position."""
     order = list(range(n))
-    if not max_disp:
+    if not max_disp or max_disp >= n - 1:  # no bound
         rng.shuffle(order)
         return order
-    unused = set(order)
+
+    def choices(k, used):
+        low = k - max_disp
+        if low >= 0 and not used >> low & 1:
+            return (low,)
+        return [j for j in range(max(low, 0), min(k + max_disp + 1, n)) if not used >> j & 1]
+
+    levels = [{0}]  # the used sets reachable before each position
     for k in range(n):
-        if k - max_disp in unused:
-            j = k - max_disp
-        else:
-            j = rng.choice([j for j in range(k - max_disp + 1, k + max_disp + 1) if j in unused])
+        levels.append({used | 1 << j for used in levels[k] for j in choices(k, used)})
+    counts = [{}] * n + [dict.fromkeys(levels[n], 1)]  # completions of each used set
+    for k in reversed(range(n)):
+        after = counts[k + 1]
+        counts[k] = {used: sum(after[used | 1 << j] for j in choices(k, used)) for used in levels[k]}
+    used = 0
+    for k in range(n):
+        r = rng.randrange(counts[k][used])
+        for j in choices(k, used):
+            r -= counts[k + 1][used | 1 << j]
+            if r < 0:
+                break
         order[k] = j
-        unused.remove(j)
+        used |= 1 << j
     return order
 
 

@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 from .corpus import Corpus
 from .evaluation import cross_validate
-from .lexicon import Lexicon
+from .lexicon import Lexicon, builtin_lexicon
 from .providers import ParaphraseProvider, ProviderError
 from .seeding import derive_seed
 from .techniques import (
@@ -193,6 +193,8 @@ def optimize(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if lexicon is None:  # one lexicon, and one memo, for every trial
+        lexicon = builtin_lexicon()
     rng = Random(derive_seed(seed, "tpe", technique.name, task))
     cv_seed = derive_seed(seed, "cv", technique.name, task)
     baseline_cache: dict = {}

@@ -22,7 +22,7 @@ from corpora import (
     synonym_class_corpus,
 )
 
-from spanaug.corpus import Corpus, Mention, Relation, make_document, validate_document
+from spanaug.corpus import Corpus, Document, Mention, Relation, make_document, validate_document
 from spanaug.edits import sentence_spans
 
 
@@ -244,11 +244,76 @@ def reference_train(prepared, n, epochs, seed, ptags=None):
     return {f: [w[f][c] - u[f][c] / steps for c in range(n)] for f in sorted(w)}
 
 
+def reference_token_features(d, start, end):
+    """Static per-token features for the sentence tokens[start:end+1]."""
+    texts = [t.text for t in d.tokens[start : end + 1]]
+    lower = [t.lower() for t in texts]
+    feats = []
+    for i, w in enumerate(lower):
+        feats.append(
+            (
+                f"w={w}",
+                f"pre={w[:3]}",
+                f"suf={w[-3:]}",
+                f"cap={texts[i][:1].isupper()}",
+                f"prev={lower[i - 1] if i else '<s>'}",
+                f"next={lower[i + 1] if i + 1 < len(lower) else '</s>'}",
+            )
+        )
+    return feats
+
+
+def reference_bucket(value):
+    mag = abs(value)
+    for edge in (1, 2, 3, 4, 5, 10):
+        if mag <= edge:
+            label = str(edge)
+            break
+    else:
+        label = ">10"
+    return f"-{label}" if value < 0 else f"+{label}"
+
+
+def reference_pair_features(d, head, tail):
+    hs = d.tokens[head.start].sentence
+    ts = d.tokens[tail.start].sentence
+    if head.start < tail.start:
+        gap = tail.start - head.end - 1
+    else:
+        gap = head.start - tail.end - 1
+    hw = d.tokens[head.start].text.lower()
+    tw = d.tokens[tail.start].text.lower()
+    return (
+        f"ht={head.type}",
+        f"tt={tail.type}",
+        f"pair={head.type}>{tail.type}",
+        f"order={'HT' if head.start < tail.start else 'TH'}",
+        f"dist={reference_bucket(tail.start - head.start)}",
+        f"gap={reference_bucket(gap)}",
+        f"sdist={ts - hs}",
+        f"hw={hw}",
+        f"tw={tw}",
+        f"hw,tw={hw}|{tw}",
+    )
+
+
+def reference_candidate_pairs(d, window):
+    ms = sorted(d.mentions, key=lambda m: m.start)
+    pairs = []
+    for head in ms:
+        for tail in ms:
+            if head.id == tail.id:
+                continue
+            if abs(d.tokens[head.start].sentence - d.tokens[tail.start].sentence) <= window:
+                pairs.append((head, tail))
+    return pairs
+
+
 def reference_tagger_weights(corpus, epochs, seed):
     tags = baselines._tag_set(corpus.mention_types)
     index = {t: i for i, t in enumerate(tags)}
     prepared = [
-        list(zip(baselines._token_features(d, s, e), baselines._gold_tags(d, s, e, index)))
+        list(zip(reference_token_features(d, s, e), baselines._gold_tags(d, s, e, index)))
         for d in corpus.documents
         for _, s, e in sentence_spans(d)
     ]
@@ -261,9 +326,9 @@ def reference_relation_weights(corpus, epochs, seed, window=1):
     prepared = []
     for d in corpus.documents:
         gold = {(r.head, r.tail): index[r.type] for r in d.relations}
-        for head, tail in baselines._candidate_pairs(d, window):
+        for head, tail in reference_candidate_pairs(d, window):
             label = gold.get((head.id, tail.id), 0)
-            prepared.append([(baselines._pair_features(d, head, tail), label)])
+            prepared.append([(reference_pair_features(d, head, tail), label)])
     return reference_train(prepared, len(classes), epochs, seed)
 
 
@@ -379,14 +444,14 @@ def test_predictions_equal_reference_scoring(name):
         expected = []
         for _, s, e in sentence_spans(d):
             prev = "<s>"
-            for feats in baselines._token_features(d, s, e):
+            for feats in reference_token_features(d, s, e):
                 prev = tagger.tags[reference_argmax(tagger.weights, feats + (f"ptag={prev}",), len(tagger.tags))]
                 expected.append(prev)
         assert predict_tags(tagger, d) == expected
         pairs = [
             (classes[c], head.id, tail.id)
-            for head, tail in baselines._candidate_pairs(d, relations.window)
-            if (c := reference_argmax(relations.weights, baselines._pair_features(d, head, tail), len(classes)))
+            for head, tail in reference_candidate_pairs(d, relations.window)
+            if (c := reference_argmax(relations.weights, reference_pair_features(d, head, tail), len(classes)))
         ]
         assert [(r.type, r.head, r.tail) for r in predict_relations(relations, d)] == pairs
 
@@ -422,3 +487,64 @@ def test_packed_field_guard(monkeypatch):
     # One more than the steps is enough: a weight of -20 leaves its field at 1.
     monkeypatch.setattr(baselines, "_BIAS", 21)
     assert train_tagger(corpus, epochs=2, seed=0).weights == reference_tagger_weights(corpus, 2, 0)
+
+
+# --- model inputs memoized on the document ----------------------------------------
+
+
+def cold_copy(corpus):
+    """The corpus with new Document objects, whose memos are empty."""
+    documents = tuple(Document(d.id, d.tokens, d.mentions, d.relations) for d in corpus.documents)
+    return Corpus(documents, corpus.mention_types, corpus.relation_types)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPORA))
+def test_a_warm_model_equals_a_cold_one(name):
+    warm = ORACLE_CORPORA[name]()
+    entries = []
+    for _ in range(2):
+        tagger = train_tagger(warm, epochs=3, seed=5)
+        relations = train_relations(warm, epochs=3, seed=5)
+        tags = [predict_tags(tagger, d) for d in warm.documents]
+        predicted = [predict_relations(relations, d) for d in warm.documents]
+        entries.append([{key: id(value) for key, value in d._model_inputs.items()} for d in warm.documents])
+    # the second pass read every input from the memo and built none anew
+    assert entries[0] == entries[1] and all(entries[0])
+    cold = cold_copy(warm)
+    # repr tells -0.0 from 0.0, so equal reprs are equal bits
+    assert repr(train_tagger(cold, epochs=3, seed=5)) == repr(tagger)
+    assert repr(train_relations(cold, epochs=3, seed=5)) == repr(relations)
+    cold = cold_copy(warm)
+    assert [predict_tags(tagger, d) for d in cold.documents] == tags
+    assert [predict_relations(relations, d) for d in cold.documents] == predicted
+
+
+def test_the_memo_keeps_rows_apart_by_tag_set():
+    corpus = fixture_corpus(12)
+    reordered = Corpus(corpus.documents, tuple(reversed(corpus.mention_types)), corpus.relation_types)
+    for c in (corpus, reordered, corpus):
+        assert train_tagger(c, epochs=2, seed=3).weights == reference_tagger_weights(c, 2, 3)
+
+
+def test_the_memo_keeps_rows_apart_by_window_and_classes():
+    corpus = fixture_corpus(12)
+    reordered = Corpus(corpus.documents, corpus.mention_types, tuple(reversed(corpus.relation_types)))
+    for c, window in ((corpus, 1), (corpus, 0), (reordered, 0), (corpus, 2), (corpus, 1)):
+        model = train_relations(c, epochs=2, seed=3, window=window)
+        assert model.weights == reference_relation_weights(c, 2, 3, window)
+        cold = cold_copy(c)
+        for d, fresh in zip(c.documents, cold.documents):
+            assert predict_relations(model, d) == predict_relations(model, fresh)
+
+
+def test_the_memo_leaves_repr_equality_and_hash_alone():
+    corpus = separable_relation_corpus()
+    cold = cold_copy(corpus)
+    train_tagger(corpus, epochs=1, seed=0)
+    train_relations(corpus, epochs=1, seed=0)
+    for d, fresh in zip(corpus.documents, cold.documents):
+        assert d._model_inputs and fresh._model_inputs is None
+        assert repr(d) == repr(fresh)
+        assert "_model_inputs" not in repr(d)
+        assert d == fresh and hash(d) == hash(fresh)
+        assert dataclasses.replace(d)._model_inputs is None

@@ -254,10 +254,12 @@ def test_optimize_rerun_is_byte_identical(tmp_path, corpus_file):
 # SHA-256 of trials.csv followed by best_config.json, recorded before the
 # tuner's configuration handling was refactored. With 7 trials the last
 # two are drawn from the TPE densities (categorical, float and int
-# dimensions, and n_aug), so any change to the draws shows here.
+# dimensions, and n_aug), so any change to the draws shows here. The
+# sentence_reordering digest was re-recorded when bounded orders became
+# uniform; with the old sampler put back, the run gives the old digest.
 OPTIMIZE_DIGESTS = {
     "lexicon_substitution": "3e4312c3ac21184f40ee2948021fd2a6662db278a5603760a84c4ae0f0fd1a5e",
-    "sentence_reordering": "86e5c5a5447278b82b3ff87e1431c98d194585938e53f9190dc2097c49441efe",
+    "sentence_reordering": "640b3adde59c21462a80f37c02eaf927611c112b93bf94b508b1d600c9533065",
 }
 
 

@@ -14,6 +14,8 @@
   order, that its first, token-by-token implementation finds.
 * The packed perceptron, which stops after its first clean epoch, trains
   the weights of the plain perceptron that runs every epoch.
+* The one-pass featurisation gives the token features, candidate pairs
+  and pair features of the per-sentence and per-pair reference functions.
 
 Generation is derandomized and the number of examples bounded, so these
 tests are deterministic and take a few seconds.
@@ -27,7 +29,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from test_baselines import reference_train
+from test_baselines import (
+    reference_candidate_pairs,
+    reference_pair_features,
+    reference_token_features,
+    reference_train,
+)
 
 from spanaug import baselines
 from spanaug.corpus import (
@@ -497,3 +504,39 @@ def test_packed_training_equals_the_reference_perceptron(case, epochs, seed, tag
     assert baselines._train(prepared, n, epochs, seed, ptags) == reference_train(
         prepared, n, epochs, seed, tags
     )
+
+
+@st.composite
+def featurised_documents(draw):
+    """Up to 30 tokens of mixed case in up to 4 sentences, whose values
+    may skip by 3 or 12, and up to 6 mentions anywhere, overlapping or
+    not: equal starts, gaps below zero, token distances beyond +-10 within
+    a window, sentence distances beyond the table, and repeated mention
+    ids all occur."""
+    n = draw(st.integers(1, 30))
+    words = st.sampled_from(WORDS + ("Clerk", "ORDER", "x", "<s>"))
+    breaks = dict(draw(st.lists(st.tuples(st.integers(1, 29), st.sampled_from((1, 3, 12))), max_size=3)))
+    sentence = 0
+    tokens = []
+    for i in range(n):
+        sentence += breaks.get(i, 0)
+        tokens.append(Token(draw(words), sentence))
+    mentions = []
+    for k in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, n - 1))
+        end = draw(st.integers(start, min(start + 4, n - 1)))
+        mention_id = draw(st.sampled_from((f"m{k}", "m0")))
+        mentions.append(Mention(mention_id, draw(st.sampled_from(MENTION_TYPES)), start, end))
+    return Document("d", tuple(tokens), tuple(mentions))
+
+
+@PROPERTY
+@given(featurised_documents(), st.sampled_from((0, 1, 2, 3, 15)))
+def test_featurisation_equals_the_reference(doc, window):
+    tokens = [(s, e, list(feats)) for s, e, feats in baselines._sentence_features(doc)]
+    assert tokens == [(s, e, reference_token_features(doc, s, e)) for _, s, e in sentence_spans(doc)]
+    pairs = [(id(head), id(tail), feats) for head, tail, feats in baselines._relation_pairs(doc, window)]
+    assert pairs == [
+        (id(head), id(tail), reference_pair_features(doc, head, tail))
+        for head, tail in reference_candidate_pairs(doc, window)
+    ]

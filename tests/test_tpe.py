@@ -286,3 +286,36 @@ def test_optimize_rejects_workers_below_one(monkeypatch, corpus20):
     monkeypatch.setattr("spanaug.tpe.cross_validate", fake_cross_validate(lambda cfg: 0.5))
     with pytest.raises(ValueError, match="workers must be >= 1"):
         optimize("random_token_deletion", corpus20, "md", n_trials=1, seed=0, workers=0)
+
+
+def counting_lexicon_loads(monkeypatch):
+    """Make every module that loads the bundled lexicon count the loads."""
+    import spanaug.evaluation
+    import spanaug.lexicon
+    import spanaug.techniques
+
+    loads = []
+
+    def counted():
+        loads.append(1)
+        return spanaug.lexicon.builtin_lexicon()
+
+    for module in (spanaug.tpe, spanaug.evaluation, spanaug.techniques):
+        monkeypatch.setattr(module, "builtin_lexicon", counted)
+    return loads
+
+
+def test_optimize_loads_the_bundled_lexicon_once(monkeypatch, corpus20):
+    loads = counting_lexicon_loads(monkeypatch)
+    _, history = optimize("lexicon_substitution", corpus20, "md", n_trials=3, seed=0, k=2, epochs=1)
+    assert len(history) == 3 and len(loads) == 1
+
+
+def test_cross_validate_loads_the_bundled_lexicon_once_and_only_for_a_technique(monkeypatch, corpus20):
+    from spanaug.evaluation import cross_validate
+
+    loads = counting_lexicon_loads(monkeypatch)
+    cross_validate(corpus20, 3, TechniqueConfig("lexicon_substitution", {}, n_aug=2), tasks=("md",), epochs=1)
+    assert len(loads) == 1
+    cross_validate(corpus20, 3, None, tasks=("md",), epochs=1)
+    assert len(loads) == 1
