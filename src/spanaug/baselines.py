@@ -14,12 +14,13 @@ would repeat its predictions, so the model is the one all ``epochs``
 epochs give, bit for bit.
 
 Features come from one pass per document: a word's token-feature strings
-are built once, and for relations each mention's strings once, each type
-pair's once, and distances come from constant tables. A document memoizes
-its model inputs (token features, tagger rows per tag set, pairs per
-window, relation rows per window and class set) on first use, out of its
-repr and equality, for as long as it lives: a CLI command's originals for
-the whole command, so every fold, arm, trial and forked lane reuses them.
+are built once per training call, each mention's relation strings once,
+each type pair's once per document, and distances come from constant
+tables. A document memoizes its model inputs (token features, tagger
+rows per tag set, pairs per window, relation rows per window and class
+set) on first use, out of its repr, equality and pickled state, for as
+long as it lives: a CLI command's originals for the whole command, so
+every fold, arm, trial and forked lane reuses them.
 """
 
 from __future__ import annotations
@@ -67,19 +68,17 @@ def _memo(d: Document) -> dict:
     return memo
 
 
-def _sentence_features(
-    d: Document, words: dict | None = None
-) -> list[tuple[int, int, tuple[tuple[str, ...], ...]]]:
+def _sentence_features(d: Document, words: dict) -> list[tuple[int, int, tuple[tuple[str, ...], ...]]]:
     """(start, end, per-token features) for each sentence, memoized: the
     lowercased word, its 3-letter prefix and suffix, an initial capital,
     and the neighbouring words ("<s>", "</s>" past the sentence). A word's
-    strings are built once per ``words`` table, which documents may share."""
+    strings come from ``words``, which builds them on first need; training
+    shares one table among its documents, which saves memory and lets a
+    weight lookup match its key by identity."""
     memo = _memo(d)
     found = memo.get("tokens")
     if found is not None:
         return found
-    if words is None:
-        words = {}
     found = []
     for _, start, end in sentence_spans(d):
         texts = [t.text for t in d.tokens[start : end + 1]]
@@ -205,7 +204,7 @@ def train_tagger(train: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
     tag_index = {t: i for i, t in enumerate(tags)}
 
     prepared = []
-    words: dict = {}
+    words: dict[str, tuple[str, ...]] = {}
     for d in train.documents:
         memo = _memo(d)
         rows = memo.get(("tagger", tags))
@@ -222,7 +221,7 @@ def train_tagger(train: Corpus, epochs: int = 5, seed: int = 0) -> TaggerModel:
 def predict_tags(model: TaggerModel, d: Document) -> list[str]:
     ptags = [f"ptag={t}" for t in model.tags]
     out = []
-    for _, _, sentence in _sentence_features(d):
+    for _, _, sentence in _sentence_features(d, {}):
         prev = "ptag=<s>"
         for feats in sentence:
             c = _predict(model.weights, feats + (prev,))
@@ -237,7 +236,7 @@ def predict_mentions(model: TaggerModel, d: Document) -> list[Mention]:
     decoding restarts per sentence."""
     tags = predict_tags(model, d)
     mentions: list[Mention] = []
-    boundaries = {s for s, _, _ in _sentence_features(d)}
+    boundaries = {s for _, s, _ in sentence_spans(d)}
     open_type = None
     open_start = 0
     for i, tag in enumerate(tags):
@@ -260,64 +259,71 @@ def predict_mentions(model: TaggerModel, d: Document) -> list[Mention]:
     return mentions
 
 
-# The bucket of a distance or gap by magnitude 0..11: the smallest of the
-# edges 1, 2, 3, 4, 5 and 10 not below it, or ">10" past them. Larger
-# magnitudes share the bucket of 11, so values are clamped to [-11, 11].
-_FAR = 11
-_EDGES = ("1", "1", "2", "3", "4", "5", "10", "10", "10", "10", "10", ">10")
-_BUCKET = {v: f"{'-' if v < 0 else '+'}{_EDGES[abs(v)]}" for v in range(-_FAR, _FAR + 1)}
-_DIST = {v: f"dist={bucket}" for v, bucket in _BUCKET.items()}
-_GAP = {v: f"gap={bucket}" for v, bucket in _BUCKET.items()}
-# a sentence distance is at most the window; past _SDIST_MAX it is formatted
-_SDIST_MAX = 10
-_SDIST = {v: f"sdist={v}" for v in range(-_SDIST_MAX, _SDIST_MAX + 1)}
+_DIST_EDGES = (1, 2, 3, 4, 5, 10)
+
+
+def _bucket(value: int) -> str:
+    mag = abs(value)
+    for edge in _DIST_EDGES:
+        if mag <= edge:
+            label = str(edge)
+            break
+    else:
+        label = ">10"
+    return f"-{label}" if value < 0 else f"+{label}"
+
+
+# Distance strings shared by every pair of every document, which saves a
+# string per feature of each pair and lets a weight lookup match its key by
+# identity. A token distance past 11 either way has the bucket of 11; a
+# sentence distance past 10 is formatted.
+_DIST = {v: f"dist={_bucket(v)}" for v in range(-11, 12)}
+_GAP = {v: f"gap={_bucket(v)}" for v in range(-11, 12)}
+_SDIST = {v: f"sdist={v}" for v in range(-10, 11)}
 
 
 def _relation_pairs(d: Document, window: int) -> list[tuple[Mention, Mention, tuple[str, ...]]]:
     """(head, tail, features) for every ordered pair of mentions whose
     first tokens lie at most ``window`` sentences apart, memoized per
     window: head-major over the mentions stable-sorted by start, skipping
-    a tail with the head's id."""
+    a tail with the head's id. A mention's strings are built once, and a
+    type pair's once per document."""
     memo = _memo(d)
     found = memo.get(("pairs", window))
     if found is not None:
         return found
-    sides = []  # per mention: itself, its sentence, its strings as head and as tail
+    heads, tails = [], []  # per mention: itself, its first token's sentence and word, its strings
     for m in sorted(d.mentions, key=lambda m: m.start):
         first = d.tokens[m.start]
         w = first.text.lower()
-        sides.append(
-            (m, first.sentence, f"ht={m.type}", f"tt={m.type}", f"hw={w}", f"tw={w}", f"hw,tw={w}|", w)
-        )
+        heads.append((m, first.sentence, w, f"ht={m.type}", f"hw={w}"))
+        tails.append((m, first.sentence, w, f"tt={m.type}", f"tw={w}"))
     pair_strings: dict[str, dict[str, str]] = {}
     found = []
-    for head, hsent, ht, _, hw, _, hwtw, _ in sides:
-        hid, hstart, hend = head.id, head.start, head.end
+    for head, hs, hw, ht, hw_feature in heads:
         by_tail = pair_strings.setdefault(head.type, {})
-        for tail, tsent, _, tt, _, tw, _, word in sides:
-            sdist = tsent - hsent
-            if tail.id == hid or sdist > window or -sdist > window:
+        for tail, ts, tw, tt, tw_feature in tails:
+            if tail.id == head.id or abs(ts - hs) > window:
                 continue
             pair = by_tail.get(tail.type)
             if pair is None:
                 pair = by_tail[tail.type] = f"pair={head.type}>{tail.type}"
-            tstart = tail.start
-            if hstart < tstart:
-                order, gap = "order=HT", tstart - hend - 1
+            if head.start < tail.start:
+                order, gap = "order=HT", tail.start - head.end - 1
             else:
-                order, gap = "order=TH", hstart - tail.end - 1
-            dist = tstart - hstart
+                order, gap = "order=TH", head.start - tail.end - 1
+            dist = tail.start - head.start
             feats = (
                 ht,
                 tt,
                 pair,
                 order,
-                _DIST[-_FAR if dist < -_FAR else _FAR if dist > _FAR else dist],
-                _GAP[-_FAR if gap < -_FAR else _FAR if gap > _FAR else gap],
-                _SDIST[sdist] if -_SDIST_MAX <= sdist <= _SDIST_MAX else f"sdist={sdist}",
-                hw,
-                tw,
-                hwtw + word,
+                _DIST.get(dist) or _DIST[11 if dist > 0 else -11],
+                _GAP.get(gap) or _GAP[11 if gap > 0 else -11],
+                _SDIST.get(ts - hs) or f"sdist={ts - hs}",
+                hw_feature,
+                tw_feature,
+                f"hw,tw={hw}|{tw}",
             )
             found.append((head, tail, feats))
     memo["pairs", window] = found

@@ -96,6 +96,12 @@ class Document:
     # the baseline models' inputs, filled on first use by spanaug.baselines
     _model_inputs: dict | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __getstate__(self) -> dict:
+        # a copy or a pickle rebuilds the model inputs on first use
+        state = self.__dict__.copy()
+        state.pop("_model_inputs", None)
+        return state
+
     def mention_by_id(self, mention_id: str) -> Mention:
         for m in self.mentions:
             if m.id == mention_id:

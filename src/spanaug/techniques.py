@@ -172,6 +172,7 @@ class AugmentContext:
     donor_documents: tuple[Document, ...]
     _donor_index: dict | None = field(default=None, init=False, repr=False)
     _long_forms: dict | None = field(default=None, init=False, repr=False)
+    _order_counts: dict = field(default_factory=dict, init=False, repr=False)
 
     def donor_index(self) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
         """POS-tag sequence -> free-span token subsequences over the donor
@@ -201,6 +202,27 @@ class AugmentContext:
                 if len(form) >= 2:
                     self._long_forms.setdefault(form[0], []).append((form, short))
         return self._long_forms
+
+    def order_counts(self, max_disp: int, n: int) -> list[dict[int, int]]:
+        """Completion counts of bounded sentence orders: ``counts[left][used]``
+        ways to fill the last ``left`` positions, k being the first of them,
+        when bit j of ``used`` tells whether sentence k - max_disp + j is
+        placed (a sentence before 0 counts as placed). By then every
+        sentence before k - max_disp is placed and none from k + max_disp
+        on, so nothing else matters: one table per bound, extended lazily
+        to the longest document, of C(2 max_disp, max_disp) entries a level."""
+        counts = self._order_counts.setdefault(max_disp, [])
+        if not counts:
+            counts.append({used: 1 for used in range(1 << 2 * max_disp) if used.bit_count() == max_disp})
+        while len(counts) <= n:
+            left, after = len(counts), counts[-1]
+            counts.append(
+                {
+                    used: sum(after[(used | 1 << j) >> 1] for j in _order_choices(used, max_disp, left))
+                    for used in after
+                }
+            )
+        return counts
 
 
 def make_context(
@@ -464,46 +486,42 @@ def _sentence_reordering(d, params, rng, ctx):
     identity = list(range(n))
     order = identity
     while order == identity:
-        order = _bounded_order(n, params["max_displacement"], rng)
+        order = _bounded_order(n, params["max_displacement"], rng, ctx)
     return [PermuteSentences(tuple(order))], True
 
 
-def _bounded_order(n, max_disp, rng):
+def _bounded_order(n, max_disp, rng, ctx):
     """A random order of n sentences that moves none by more than max_disp
     positions (0: no bound), uniform over all such orders. Position k takes
     sentence k - max_disp while it is unused, since no later position may,
     else an unused sentence within max_disp of k, weighted by the orders
-    that complete the choice. Those counts depend on k and the used set, in
-    which only the window [k - max_disp, k + max_disp) varies: at most
-    C(2 max_disp, max_disp) sets per position."""
+    that complete the choice (``AugmentContext.order_counts``)."""
     order = list(range(n))
     if not max_disp or max_disp >= n - 1:  # no bound
         rng.shuffle(order)
         return order
-
-    def choices(k, used):
-        low = k - max_disp
-        if low >= 0 and not used >> low & 1:
-            return (low,)
-        return [j for j in range(max(low, 0), min(k + max_disp + 1, n)) if not used >> j & 1]
-
-    levels = [{0}]  # the used sets reachable before each position
+    counts = ctx.order_counts(max_disp, n)
+    used = (1 << max_disp) - 1  # sentences before 0 count as placed
     for k in range(n):
-        levels.append({used | 1 << j for used in levels[k] for j in choices(k, used)})
-    counts = [{}] * n + [dict.fromkeys(levels[n], 1)]  # completions of each used set
-    for k in reversed(range(n)):
-        after = counts[k + 1]
-        counts[k] = {used: sum(after[used | 1 << j] for j in choices(k, used)) for used in levels[k]}
-    used = 0
-    for k in range(n):
-        r = rng.randrange(counts[k][used])
-        for j in choices(k, used):
-            r -= counts[k + 1][used | 1 << j]
+        left = n - k
+        r = rng.randrange(counts[left][used])
+        for j in _order_choices(used, max_disp, left):
+            after = (used | 1 << j) >> 1
+            r -= counts[left - 1][after]
             if r < 0:
                 break
-        order[k] = j
-        used |= 1 << j
+        order[k] = k - max_disp + j
+        used = after
     return order
+
+
+def _order_choices(used, max_disp, left):
+    """The sentences position k may take, as ascending offsets j from
+    k - max_disp, given ``used`` as in ``AugmentContext.order_counts`` and
+    the ``left`` positions from k on."""
+    if not used & 1:
+        return (0,)
+    return [j for j in range(1, min(2 * max_disp + 1, max_disp + left)) if not used >> j & 1]
 
 
 def _sentence_concatenation(d, params, rng, ctx):
@@ -698,7 +716,8 @@ TECHNIQUES: dict[str, Technique] = {
         Technique(
             "sentence_reordering",
             ("B.88",),
-            ParamSpace(p=FloatParam(0.0, 1.0, 1.0), max_displacement=IntParam(0, 10, 0)),
+            # the completion counts of a bounded order grow with C(2d, d)
+            ParamSpace(p=FloatParam(0.0, 1.0, 1.0), max_displacement=IntParam(0, 5, 0)),
             _sentence_reordering,
             identity_params={"p": 0.0},
         ),

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from random import Random
 
 import pytest
@@ -548,3 +550,36 @@ def test_the_memo_leaves_repr_equality_and_hash_alone():
         assert "_model_inputs" not in repr(d)
         assert d == fresh and hash(d) == hash(fresh)
         assert dataclasses.replace(d)._model_inputs is None
+
+
+def test_documents_share_their_feature_strings():
+    """A training call's documents share each word's token-feature
+    strings, and every pair takes its distance strings from constant
+    tables: one string object for each, not one per document or pair."""
+    corpus = fixture_corpus(12)
+    train_tagger(corpus, epochs=1, seed=0)
+    train_relations(corpus, epochs=1, seed=0)
+    tables = {id(f) for table in (baselines._DIST, baselines._GAP, baselines._SDIST) for f in table.values()}
+    by_word = {}
+    for d in corpus.documents:
+        for _, _, sentence in baselines._sentence_features(d, {}):
+            for feats in sentence:
+                first = by_word.setdefault(feats[0], feats)
+                assert all(a is b for a, b in zip(first[:3], feats[:3]))
+        assert all(id(f) in tables for _, _, feats in baselines._relation_pairs(d, 1) for f in feats[4:7])
+    assert len(by_word) < sum(len(d.tokens) for d in corpus.documents)
+
+
+def test_a_pickled_or_copied_document_carries_no_memo():
+    """Fold lanes started by spawn or forkserver receive the documents by
+    pickle; they rebuild the inputs on first use instead of receiving the
+    parent's."""
+    corpus = separable_relation_corpus()
+    train_tagger(corpus, epochs=1, seed=0)
+    train_relations(corpus, epochs=1, seed=0)
+    for d in corpus.documents:
+        assert d._model_inputs
+        for back in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+            assert back._model_inputs is None
+            assert back == d and repr(back) == repr(d)
+        assert d._model_inputs  # the original keeps its memo

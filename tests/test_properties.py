@@ -533,7 +533,7 @@ def featurised_documents(draw):
 @PROPERTY
 @given(featurised_documents(), st.sampled_from((0, 1, 2, 3, 15)))
 def test_featurisation_equals_the_reference(doc, window):
-    tokens = [(s, e, list(feats)) for s, e, feats in baselines._sentence_features(doc)]
+    tokens = [(s, e, list(feats)) for s, e, feats in baselines._sentence_features(doc, {})]
     assert tokens == [(s, e, reference_token_features(doc, s, e)) for _, s, e in sentence_spans(doc)]
     pairs = [(id(head), id(tail), feats) for head, tail, feats in baselines._relation_pairs(doc, window)]
     assert pairs == [

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import itertools
+import math
+import time
 from collections import Counter
 from random import Random
 
@@ -501,11 +503,38 @@ def test_bounded_order_is_uniform(n, max_displacement):
     ]
     draws = 6000
     rng = Random(7)
-    counts = Counter(tuple(techniques._bounded_order(n, max_displacement, rng)) for _ in range(draws))
+    ctx = make_context([])
+    counts = Counter(tuple(techniques._bounded_order(n, max_displacement, rng, ctx)) for _ in range(draws))
     assert set(counts) == set(allowed)
     share = 1 / len(allowed)
     tolerance = 5 * (draws * share * (1 - share)) ** 0.5
     assert all(abs(counts[order] - draws * share) <= tolerance for order in allowed)
+    assert ctx.order_counts(max_displacement, n)[n][(1 << max_displacement) - 1] == len(allowed)
+
+
+def test_bounded_reordering_cost_is_bounded_at_the_largest_bound():
+    """The completion counts grow with C(2d, d) for d = max_displacement,
+    so the space stops at d = 5. There one context holds one table of
+    C(10, 5) = 252 entries a level for every document and replica, and
+    three draws on 300 sentences take about 0.25 s on one core (Python
+    3.11): 10 s leaves room for a loaded machine."""
+    largest = TECHNIQUES["sentence_reordering"].space["max_displacement"].high
+    assert largest == 5
+    with pytest.raises(ConfigError, match="outside"):
+        TechniqueConfig("sentence_reordering", {"max_displacement": largest + 1}).resolved
+    n = 300
+    doc = make_document("long", [(f"s{k}", k) for k in range(n)])
+    cfg = TechniqueConfig("sentence_reordering", {"p": 1.0, "max_displacement": largest})
+    ctx = make_context([doc])
+    started = time.perf_counter()
+    for seed in range(3):
+        out, _ = apply_technique(doc, cfg, Random(seed), ctx)
+        order = [int(t.text[1:]) for t in out.tokens]
+        assert sorted(order) == list(range(n)) and order != list(range(n))
+        assert all(abs(new - old) <= largest for new, old in enumerate(order))
+    assert time.perf_counter() - started < 10
+    assert list(ctx._order_counts) == [largest]
+    assert [len(level) for level in ctx._order_counts[largest]] == [math.comb(2 * largest, largest)] * (n + 1)
 
 
 # --- sentence concatenation ------------------------------------------------------------
