@@ -8,10 +8,12 @@ so gains are measurable without external model dependencies. Training is
 deterministic for a fixed (corpus, epochs, seed). While training, every
 weight is a whole number, so each feature's row is packed into one int
 with a 64-bit field per class: scoring a decision is one big-int sum, and
-a mistake updates a row with one addition. Training stops after the first
-epoch that makes no mistake: with the weights unchanged, every later epoch
-would repeat its predictions, so the model is the one all ``epochs``
-epochs give, bit for bit.
+a mistake updates a row with one addition. Before each epoch, training
+scores each distinct decision once, as an epoch that makes no mistake
+would see it, and stops if every one gets its gold class: such an epoch,
+and every later one, would change nothing, so the model is the one all
+``epochs`` epochs give, bit for bit. Augmented corpora repeat many
+decisions, so this check costs a fraction of the epoch it replaces.
 
 Features come from one pass per document: a word's token-feature strings
 are built once per training call, each mention's relation strings once,
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import chain
 from operator import add
 from random import Random
 from struct import Struct
@@ -123,6 +126,16 @@ def _averaged(w, u, steps) -> dict[str, list[float]]:
     return {f: [w[f][c] - u[f][c] / steps for c in range(len(w[f]))] for f in sorted(w)}
 
 
+def _gold_decisions(prepared, ptags: tuple[str, ...]):
+    """Each tagger decision as a clean epoch sees it: its features plus
+    the previous gold tag's feature ("ptag=<s>" at the start)."""
+    for sequence in prepared:
+        prev = "ptag=<s>"
+        for feats, gold in sequence:
+            yield feats + (prev,), gold
+            prev = ptags[gold]
+
+
 def _train(
     prepared, n: int, epochs: int, seed: int, ptags: tuple[str, ...] | None = None
 ) -> dict[str, list[float]]:
@@ -132,12 +145,16 @@ def _train(
     ``ptags[c]`` for the class c predicted just before it in its sequence,
     or "ptag=<s>" at the start.
 
-    The loop stops after the first epoch with no update. This is exact: a
-    prediction depends only on the weights and its own sequence (``prev``
-    restarts with each sequence), so with the weights unchanged every later
-    epoch, in whatever order, makes no mistake either. The averages divide by
-    the planned ``steps``, so they equal those of running every epoch.
-    ``rng`` is local, so the shuffles skipped move no other draw."""
+    Before each epoch, every distinct decision is scored once as a clean
+    epoch would see it (a tagger right so far has the gold tag as its
+    previous tag); if each scores its gold class, training stops. This is
+    exact: while no weight changes, a prediction depends only on the
+    weights and its own decision, so that epoch, and every later one in
+    whatever order, would update nothing. A failed check means the epoch
+    makes a mistake, so it runs as before. The averages divide by the
+    planned ``steps``, so they equal those of running every epoch. The
+    check draws nothing, and ``rng`` is local, so the shuffles skipped move
+    no other draw."""
     steps = epochs * sum(map(len, prepared))
     if steps >= _BIAS:
         raise ValueError(f"{steps} training steps exceed the packed weight range ({_BIAS})")
@@ -150,21 +167,28 @@ def _train(
     w: dict[str, int] = {}
     u: dict[str, list[float]] = {}
     get = w.get
-    step = last = 0  # last: the step of the latest update
-    order = list(range(len(prepared)))
+    step = 0
+    distinct = dict.fromkeys(
+        chain.from_iterable(prepared) if ptags is None else _gold_decisions(prepared, ptags)
+    )
+    sequences = list(prepared)  # shuffled in place: the same permutations as shuffling indices
     for _ in range(epochs):
-        start = step
-        rng.shuffle(order)
-        for si in order:
+        for feats, gold in distinct:
+            scores = unpack(sum(filter(None, map(get, feats))).to_bytes(width, "little"))
+            if scores.index(max(scores)) != gold:
+                break
+        else:
+            break  # an epoch now would be clean, and so would every later one: w and u are final
+        rng.shuffle(sequences)
+        for sequence in sequences:
             prev = "ptag=<s>"
-            for feats, gold in prepared[si]:
+            for feats, gold in sequence:
                 if ptags is not None:
                     feats = feats + (prev,)
                 scores = unpack(sum(filter(None, map(get, feats))).to_bytes(width, "little"))
                 pred = scores.index(max(scores))
                 step += 1
                 if pred != gold:
-                    last = step
                     delta = unit[gold] - unit[pred]
                     for f in feats:
                         w[f] = get(f, zero) + delta
@@ -173,8 +197,6 @@ def _train(
                         urow[pred] -= step
                 if ptags is not None:
                     prev = ptags[pred]
-        if last <= start:
-            break  # a clean epoch: every later one repeats it, and w and u are final
     unpacked = {f: [x - _BIAS for x in unpack(row.to_bytes(width, "little"))] for f, row in w.items()}
     return _averaged(unpacked, u, max(steps, 1))
 

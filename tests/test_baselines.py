@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 from random import Random
+from struct import Struct
 
 import pytest
 
@@ -418,12 +419,47 @@ def test_training_stops_after_the_first_clean_epoch(monkeypatch, make_corpus, tr
 
 def test_an_epoch_with_one_mistake_at_its_start_is_not_clean(monkeypatch):
     # Mistakes fall on decisions 2 and 3 in epoch 1, on decision 1 alone in
-    # epoch 2, on 1 and 2 in epoch 3 and on none in epoch 4, so training
-    # stops after epoch 4.
+    # epoch 2, on 1 and 2 in epoch 3 and on none in epoch 4, so the check
+    # before epoch 4 passes and training stops after three shuffles.
     prepared = [[(("b", "c"), 0), (("b",), 2), (("a", "c"), 1)]]
     shuffles = counting_random(monkeypatch)
     assert baselines._train(prepared, 3, epochs=6, seed=0) == reference_train(prepared, 3, 6, 0)
-    assert len(shuffles) == 4
+    assert len(shuffles) == 3
+
+
+@pytest.mark.parametrize(
+    "ptags, distinct", [(None, 2), (("ptag=t0", "ptag=t1"), 4)], ids=["relations", "tagger"]
+)
+def test_the_check_scores_each_distinct_decision_once(monkeypatch, ptags, distinct):
+    # Every gold is class 0, which empty weights predict, so the check before
+    # epoch 1 passes: nothing shuffles, and no weight row is unpacked at the
+    # end. A tagger decision is distinct by its previous gold tag as well:
+    # "a" after "<s>" and after "t0", "b" after "t0" and after "<s>".
+    calls = []
+
+    class CountingStruct(Struct):
+        def unpack(self, data):
+            calls.append(data)
+            return super().unpack(data)
+
+    monkeypatch.setattr(baselines, "Struct", CountingStruct)
+    shuffles = counting_random(monkeypatch)
+    sequence = [(("a",), 0), (("a",), 0), (("b",), 0)]
+    prepared = [sequence, list(sequence), sequence[:2], [(("b",), 0)]]
+    assert baselines._train(prepared, 2, 5, 0, ptags) == {}
+    assert (len(calls), len(shuffles)) == (distinct, 0)
+
+
+def test_the_check_scores_a_tagger_decision_after_the_previous_gold_tag(monkeypatch):
+    # Epoch 1 errs on "b" alone, which moves "b" and "ptag=t0" toward class 1,
+    # so the second "a", which follows a gold t0, now scores 1 and epoch 2 is
+    # not clean. Scored without the previous gold tag, or after "<s>",
+    # every decision would look right and training would stop too early.
+    prepared = [[(("a",), 0), (("a",), 0), (("b",), 1)]]
+    shuffles = counting_random(monkeypatch)
+    ptags = ("ptag=t0", "ptag=t1")
+    assert baselines._train(prepared, 2, 2, 0, ptags) == reference_train(prepared, 2, 2, 0, ("t0", "t1"))
+    assert len(shuffles) == 2
 
 
 def test_training_that_never_converges_runs_every_epoch(monkeypatch):

@@ -11,6 +11,7 @@ from spanaug.corpus import Mention, Relation
 from spanaug.evaluation import (
     GainReport,
     Score,
+    _mean,
     cross_validate,
     score_mentions,
     score_relations,
@@ -172,6 +173,17 @@ def test_score_addition_aggregates_micro():
 
 def test_f1_zero_when_both_empty():
     assert Score(0, 0, 0).f1 == 0.0
+
+
+def test_fold_means_add_left_to_right():
+    # sum() compensates on Python 3.12+ and gives exactly 1.0 here; a mean
+    # that differs by interpreter would change the report's bytes
+    total = 0.0
+    for value in [0.1] * 10:
+        total += value
+    assert total == 0.9999999999999999
+    assert _mean([0.1] * 10) == total / 10
+    assert _mean(()) == 0.0
 
 
 # --- fold splitting --------------------------------------------------------------

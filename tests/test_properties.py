@@ -12,8 +12,9 @@
 * serialize_corpus writes the bytes json.dumps writes for the corpus as a
   tree of dicts, and validate_document finds the violations, in the same
   order, that its first, token-by-token implementation finds.
-* The packed perceptron, which stops after its first clean epoch, trains
-  the weights of the plain perceptron that runs every epoch.
+* The packed perceptron, which stops once every distinct decision scores
+  its gold class, trains the weights of the plain perceptron that runs
+  every epoch.
 * The one-pass featurisation gives the token features, candidate pairs
   and pair features of the per-sentence and per-pair reference functions.
 
@@ -476,8 +477,9 @@ def perceptron_inputs(draw):
     """n classes and sequences of (features, gold). Either each gold is
     the class of the decision's first feature in "abc" order, which three
     features make separable, so a clean epoch is common, or the golds are
-    free. A copy of one sequence with one gold changed makes a clean epoch
-    impossible."""
+    free. Exact copies of some sequences repeat their decisions, as
+    augmented corpora do, and a copy of one sequence with one gold changed
+    makes a clean epoch impossible."""
     n = draw(st.integers(2, 4))
     label = dict(zip("abc", draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3))))
     features = st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True).map(sorted)
@@ -486,6 +488,7 @@ def perceptron_inputs(draw):
     else:
         decision = st.tuples(features.map(tuple), st.integers(0, n - 1))
     prepared = draw(st.lists(st.lists(decision, min_size=1, max_size=4), min_size=1, max_size=5))
+    prepared += draw(st.lists(st.sampled_from(prepared).map(list), max_size=3))
     if draw(st.booleans()):
         seq = list(draw(st.sampled_from(prepared)))
         i = draw(st.integers(0, len(seq) - 1))
