@@ -7,8 +7,10 @@ features, which is exactly the behavior the augmentation effects perturb,
 so gains are measurable without external model dependencies. Training is
 deterministic for a fixed (corpus, epochs, seed). While training, every
 weight is a whole number, so each feature's row is packed into one int
-with a 64-bit field per class: scoring a decision is one big-int sum, and
-a mistake updates a row with one addition. Before each epoch, training
+with a 64-bit field per class: scoring a decision is one big-int sum,
+whether the gold class wins is read from that sum with a few big-int
+operations, and only a mistake unpacks it to find the predicted class and
+updates each row with one addition. Before each epoch, training
 scores each distinct decision once, as an epoch that makes no mistake
 would see it, and stops if every one gets its gold class: such an epoch,
 and every later one, would change nothing, so the model is the one all
@@ -31,7 +33,7 @@ import json
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain
-from operator import add
+from operator import add, itemgetter
 from random import Random
 from struct import Struct
 
@@ -114,16 +116,15 @@ def _gold_tags(d: Document, start: int, end: int, tag_index: dict[str, int]) -> 
 
 # A packed row holds, in bits 64c..64c+63, _BIAS plus the weight of class c.
 # Updates are +-1, so a weight never exceeds the number of training steps;
-# with fewer steps than _BIAS every field stays in (0, 2 * _BIAS), and sums
-# of up to 2**15 rows fit their fields, so no field borrows from or carries
-# into its neighbour. A present row adds _BIAS to every field alike, which
-# leaves the argmax unchanged.
+# with fewer steps than _BIAS = 2**48 every field stays in [1, 2**49). A
+# decision has fewer than _MAX_FEATURES = 2**14 features, so each field of
+# the sum of its present rows stays below 2**63, and two fields of that sum
+# differ by less than 2**63: no field of the sum, or of the gold test in
+# _train, borrows from or carries into its neighbour. A present row adds
+# _BIAS to every field alike, which leaves the argmax unchanged.
 _FIELD_BITS = 64
 _BIAS = 1 << 48
-
-
-def _averaged(w, u, steps) -> dict[str, list[float]]:
-    return {f: [w[f][c] - u[f][c] / steps for c in range(len(w[f]))] for f in sorted(w)}
+_MAX_FEATURES = 1 << 14
 
 
 def _gold_decisions(prepared, ptags: tuple[str, ...]):
@@ -134,6 +135,35 @@ def _gold_decisions(prepared, ptags: tuple[str, ...]):
         for feats, gold in sequence:
             yield feats + (prev,), gold
             prev = ptags[gold]
+
+
+def _shuffle(x: list, rng: Random) -> None:
+    """rng.shuffle(x), with the same draws and permutation as random.py's
+    shuffle on Python 3.10 to 3.13: from the last position down, x[i]
+    swaps with x[j] for j below i + 1, redrawn from (i + 1).bit_length()
+    random bits while it is above i."""
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _gold_test(n: int) -> tuple[list[int], list[int], int, int, int]:
+    """Constants over n fields for which class g wins the packed sum
+    ``total`` (highest score, ties to the lowest class) exactly when
+    ``((total >> shifts[g] & mask) * ones + rights[g] - total) & top == top``.
+    ``ones`` has a 1 in each field and ``top`` each field's top bit;
+    rights[g] has 2**63 - 1 in each field below g and 2**63 from g on. So
+    field c keeps its top bit exactly when s_g > s_c (c < g) or s_g >= s_c
+    (c >= g), as long as |s_g - s_c| < 2**63."""
+    unit = [1 << (_FIELD_BITS * c) for c in range(n)]
+    ones = sum(unit)
+    top = ones << (_FIELD_BITS - 1)
+    rights = [top - sum(unit[:g]) for g in range(n)]
+    return [_FIELD_BITS * g for g in range(n)], rights, (1 << _FIELD_BITS) - 1, ones, top
 
 
 def _train(
@@ -154,12 +184,22 @@ def _train(
     makes a mistake, so it runs as before. The averages divide by the
     planned ``steps``, so they equal those of running every epoch. The
     check draws nothing, and ``rng`` is local, so the shuffles skipped move
-    no other draw."""
+    no other draw. Whether the gold class wins is read from the packed sum
+    (``_gold_test``): the check never unpacks a sum, and an epoch unpacks
+    one only on a mistake. Raises ValueError if the steps or a decision's
+    features could overflow a packed field."""
     steps = epochs * sum(map(len, prepared))
     if steps >= _BIAS:
         raise ValueError(f"{steps} training steps exceed the packed weight range ({_BIAS})")
+    distinct = dict.fromkeys(
+        chain.from_iterable(prepared) if ptags is None else _gold_decisions(prepared, ptags)
+    )
+    widest = max(map(len, map(itemgetter(0), distinct)), default=0)
+    if widest >= _MAX_FEATURES:
+        raise ValueError(f"a decision with {widest} features exceeds the packed sum range ({_MAX_FEATURES})")
     unit = [1 << (_FIELD_BITS * c) for c in range(n)]
-    zero = _BIAS * sum(unit)
+    shifts, rights, mask, ones, top = _gold_test(n)
+    zero = _BIAS * ones
     width = n * _FIELD_BITS // 8
     unpack = Struct(f"<{n}Q").unpack  # little-endian bytes: class 0 first
 
@@ -168,27 +208,26 @@ def _train(
     u: dict[str, list[float]] = {}
     get = w.get
     step = 0
-    distinct = dict.fromkeys(
-        chain.from_iterable(prepared) if ptags is None else _gold_decisions(prepared, ptags)
-    )
     sequences = list(prepared)  # shuffled in place: the same permutations as shuffling indices
     for _ in range(epochs):
         for feats, gold in distinct:
-            scores = unpack(sum(filter(None, map(get, feats))).to_bytes(width, "little"))
-            if scores.index(max(scores)) != gold:
+            total = sum(filter(None, map(get, feats)))
+            if ((total >> shifts[gold] & mask) * ones + rights[gold] - total) & top != top:
                 break
         else:
             break  # an epoch now would be clean, and so would every later one: w and u are final
-        rng.shuffle(sequences)
+        _shuffle(sequences, rng)
         for sequence in sequences:
             prev = "ptag=<s>"
             for feats, gold in sequence:
                 if ptags is not None:
                     feats = feats + (prev,)
-                scores = unpack(sum(filter(None, map(get, feats))).to_bytes(width, "little"))
-                pred = scores.index(max(scores))
                 step += 1
-                if pred != gold:
+                pred = gold
+                total = sum(filter(None, map(get, feats)))
+                if ((total >> shifts[gold] & mask) * ones + rights[gold] - total) & top != top:
+                    scores = unpack(total.to_bytes(width, "little"))
+                    pred = scores.index(max(scores))
                     delta = unit[gold] - unit[pred]
                     for f in feats:
                         w[f] = get(f, zero) + delta
@@ -197,8 +236,11 @@ def _train(
                         urow[pred] -= step
                 if ptags is not None:
                     prev = ptags[pred]
-    unpacked = {f: [x - _BIAS for x in unpack(row.to_bytes(width, "little"))] for f, row in w.items()}
-    return _averaged(unpacked, u, max(steps, 1))
+    steps = max(steps, 1)
+    return {
+        f: [x - _BIAS - a / steps for x, a in zip(unpack(w[f].to_bytes(width, "little")), u[f])]
+        for f in sorted(w)
+    }
 
 
 _add_rows = partial(map, add)

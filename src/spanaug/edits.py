@@ -233,6 +233,9 @@ def _checked_replacement(d: Document, e: ReplaceSpan, n: int) -> tuple[tuple[Tok
     if not texts:
         raise EditError("replacement texts must be non-empty")
     delta = len(texts) - (e.end - e.start + 1)
+    if e.start == e.end:  # one token can neither straddle nor swallow a mention
+        sentence = d.tokens[e.start].sentence
+        return tuple(Token(t, sentence) for t in texts), delta
 
     for m in d.mentions:
         straddles_left = m.start < e.start <= m.end < e.end
@@ -373,13 +376,16 @@ def _replace_spans(d: Document, edits: Sequence[ReplaceSpan]) -> tuple[Document,
         for m in d.mentions
         if m.start <= e.start and e.end <= m.end
     ]
-    mentions = []
-    for m in d.mentions:
-        start = m.start + shift[bisect_left(starts, m.start)]
-        end = m.end + shift[bisect_right(starts, m.end)]
-        moved = start != m.start or end != m.end
-        mentions.append(Mention(m.id, m.type, start, end) if moved else m)
-    document = Document(d.id, tuple(tokens), tuple(mentions), d.relations)
+    mentions = d.mentions  # kept when every edit keeps its length: no mention moves
+    if any(shift):
+        remapped = []
+        for m in mentions:
+            start = m.start + shift[bisect_left(starts, m.start)]
+            end = m.end + shift[bisect_right(starts, m.end)]
+            moved = start != m.start or end != m.end
+            remapped.append(Mention(m.id, m.type, start, end) if moved else m)
+        mentions = tuple(remapped)
+    document = Document(d.id, tuple(tokens), mentions, d.relations)
     return document, RemapReport(tuple(shrunk), tuple(rejected))
 
 

@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import pickle
 from random import Random
-from struct import Struct
 
 import pytest
 
@@ -388,16 +387,16 @@ def test_packed_training_equals_reference_perceptron(name, seed, epochs):
     assert relations.weights == reference_relation_weights(corpus, epochs, seed)
 
 
-def counting_random(monkeypatch):
-    """Make baselines._train draw from a Random that counts its shuffles."""
+def counting_shuffles(monkeypatch):
+    """Record the length of each sequence-order shuffle baselines._train makes."""
     calls = []
+    shuffle = baselines._shuffle
 
-    class CountingRandom(Random):
-        def shuffle(self, x):
-            calls.append(len(x))
-            super().shuffle(x)
+    def counting(x, rng):
+        calls.append(len(x))
+        shuffle(x, rng)
 
-    monkeypatch.setattr(baselines, "Random", CountingRandom)
+    monkeypatch.setattr(baselines, "_shuffle", counting)
     return calls
 
 
@@ -411,7 +410,7 @@ def counting_random(monkeypatch):
 )
 def test_training_stops_after_the_first_clean_epoch(monkeypatch, make_corpus, train, reference):
     corpus = make_corpus()
-    shuffles = counting_random(monkeypatch)
+    shuffles = counting_shuffles(monkeypatch)
     model = train(corpus, epochs=50, seed=0)
     assert 0 < len(shuffles) < 50
     assert model.weights == reference(corpus, 50, 0)
@@ -422,7 +421,7 @@ def test_an_epoch_with_one_mistake_at_its_start_is_not_clean(monkeypatch):
     # epoch 2, on 1 and 2 in epoch 3 and on none in epoch 4, so the check
     # before epoch 4 passes and training stops after three shuffles.
     prepared = [[(("b", "c"), 0), (("b",), 2), (("a", "c"), 1)]]
-    shuffles = counting_random(monkeypatch)
+    shuffles = counting_shuffles(monkeypatch)
     assert baselines._train(prepared, 3, epochs=6, seed=0) == reference_train(prepared, 3, 6, 0)
     assert len(shuffles) == 3
 
@@ -432,18 +431,25 @@ def test_an_epoch_with_one_mistake_at_its_start_is_not_clean(monkeypatch):
 )
 def test_the_check_scores_each_distinct_decision_once(monkeypatch, ptags, distinct):
     # Every gold is class 0, which empty weights predict, so the check before
-    # epoch 1 passes: nothing shuffles, and no weight row is unpacked at the
-    # end. A tagger decision is distinct by its previous gold tag as well:
-    # "a" after "<s>" and after "t0", "b" after "t0" and after "<s>".
+    # epoch 1 passes and nothing shuffles. A tagger decision is distinct by
+    # its previous gold tag as well: "a" after "<s>" and after "t0", "b"
+    # after "t0" and after "<s>". Each scored decision reads its gold
+    # class's shift once, so a counting list of shifts counts them.
     calls = []
 
-    class CountingStruct(Struct):
-        def unpack(self, data):
-            calls.append(data)
-            return super().unpack(data)
+    class CountingShifts(list):
+        def __getitem__(self, gold):
+            calls.append(gold)
+            return super().__getitem__(gold)
 
-    monkeypatch.setattr(baselines, "Struct", CountingStruct)
-    shuffles = counting_random(monkeypatch)
+    gold_test = baselines._gold_test
+
+    def counting_gold_test(n):
+        shifts, *rest = gold_test(n)
+        return (CountingShifts(shifts), *rest)
+
+    monkeypatch.setattr(baselines, "_gold_test", counting_gold_test)
+    shuffles = counting_shuffles(monkeypatch)
     sequence = [(("a",), 0), (("a",), 0), (("b",), 0)]
     prepared = [sequence, list(sequence), sequence[:2], [(("b",), 0)]]
     assert baselines._train(prepared, 2, 5, 0, ptags) == {}
@@ -456,7 +462,7 @@ def test_the_check_scores_a_tagger_decision_after_the_previous_gold_tag(monkeypa
     # not clean. Scored without the previous gold tag, or after "<s>",
     # every decision would look right and training would stop too early.
     prepared = [[(("a",), 0), (("a",), 0), (("b",), 1)]]
-    shuffles = counting_random(monkeypatch)
+    shuffles = counting_shuffles(monkeypatch)
     ptags = ("ptag=t0", "ptag=t1")
     assert baselines._train(prepared, 2, 2, 0, ptags) == reference_train(prepared, 2, 2, 0, ("t0", "t1"))
     assert len(shuffles) == 2
@@ -464,7 +470,7 @@ def test_the_check_scores_a_tagger_decision_after_the_previous_gold_tag(monkeypa
 
 def test_training_that_never_converges_runs_every_epoch(monkeypatch):
     corpus = conflicting_corpus()
-    shuffles = counting_random(monkeypatch)
+    shuffles = counting_shuffles(monkeypatch)
     train_tagger(corpus, epochs=50, seed=0)
     assert len(shuffles) == 50
     shuffles.clear()
@@ -525,6 +531,23 @@ def test_packed_field_guard(monkeypatch):
     # One more than the steps is enough: a weight of -20 leaves its field at 1.
     monkeypatch.setattr(baselines, "_BIAS", 21)
     assert train_tagger(corpus, epochs=2, seed=0).weights == reference_tagger_weights(corpus, 2, 0)
+
+
+def test_packed_sum_guard(monkeypatch):
+    # A tagger decision has 7 features: six of its token's, and the previous tag.
+    corpus = separable_tagger_corpus(n_docs=2)
+    monkeypatch.setattr(baselines, "_MAX_FEATURES", 7)
+    with pytest.raises(ValueError, match="7 features"):
+        train_tagger(corpus, epochs=2, seed=0)
+    monkeypatch.setattr(baselines, "_MAX_FEATURES", 8)
+    assert train_tagger(corpus, epochs=2, seed=0).weights == reference_tagger_weights(corpus, 2, 0)
+    monkeypatch.undo()
+    # the real bound: 2**14 features could carry a field of the gold test
+    wide = tuple(f"f{i}" for i in range(2**14))
+    with pytest.raises(ValueError, match="16384 features"):
+        baselines._train([[(wide, 1)]], 2, 1, 0)
+    prepared = [[(wide[1:], 1)], [(wide[:2], 0)]]
+    assert baselines._train(prepared, 2, 2, 0) == reference_train(prepared, 2, 2, 0)
 
 
 # --- model inputs memoized on the document ----------------------------------------

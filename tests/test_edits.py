@@ -124,6 +124,43 @@ def test_replace_cross_sentence_only_when_length_preserving():
     assert report.rejected
 
 
+def test_one_token_replacement_inside_a_mention():
+    # "claims" lies strictly inside A=[1,3]: A covers the replacement, and
+    # the tokens after it shift by the change in length.
+    doc = make_document(
+        "s",
+        [(t, 0) for t in "a senior claims clerk files it .".split()] + [("Done", 1), (".", 1)],
+        [Mention("A", "Actor", 1, 3), Mention("B", "Activity", 4, 4), Mention("C", "Activity", 7, 7)],
+    )
+    same, report = apply_edit(doc, ReplaceSpan(2, 2, ("insurance",)))
+    assert same.mentions == doc.mentions and report == RemapReport()
+    assert [t.text for t in same.tokens[1:4]] == ["senior", "insurance", "clerk"]
+    grown, _ = apply_edit(doc, ReplaceSpan(2, 2, ("insurance", "claims")))
+    assert spans(grown) == [("A", 1, 4), ("B", 5, 5), ("C", 8, 8)]
+    assert [t.sentence for t in grown.tokens] == [0] * 8 + [1, 1]
+    one_pass, report = apply_edits(doc, [ReplaceSpan(7, 7, ("Finished",)), ReplaceSpan(2, 2, ("x", "y"))])
+    assert spans(one_pass) == [("A", 1, 4), ("B", 5, 5), ("C", 8, 8)]
+    assert report == RemapReport() and validate_document(one_pass) == []
+
+
+def test_one_token_replacement_on_a_mention_boundary(d1):
+    # M1=[1,2] starts at "a" and ends at "claim"; M2=[4,4] is one token.
+    for edit, expected in [
+        (ReplaceSpan(1, 1, ("the", "insurance")), [("M1", 1, 3), ("M2", 5, 5), ("M3", 7, 7), ("M4", 9, 9)]),
+        (ReplaceSpan(2, 2, ("claim", "form")), [("M1", 1, 3), ("M2", 5, 5), ("M3", 7, 7), ("M4", 9, 9)]),
+        (ReplaceSpan(4, 4, ("filed", "away")), [("M1", 1, 2), ("M2", 4, 5), ("M3", 7, 7), ("M4", 9, 9)]),
+        (ReplaceSpan(0, 0, ("Once", "after")), [("M1", 2, 3), ("M2", 5, 5), ("M3", 7, 7), ("M4", 9, 9)]),
+        (ReplaceSpan(3, 3, ("is", "now")), [("M1", 1, 2), ("M2", 5, 5), ("M3", 7, 7), ("M4", 9, 9)]),
+    ]:
+        doc, report = apply_edit(d1, edit)
+        assert spans(doc) == expected and report == RemapReport()
+        assert validate_document(doc) == []
+    # one for one, in one pass: no mention moves, so the mentions are kept
+    doc, report = apply_edits(d1, [ReplaceSpan(8, 8, ("checked",)), ReplaceSpan(2, 2, ("form",))])
+    assert doc.mentions is d1.mentions and report == RemapReport()
+    assert [t.text for t in doc.tokens] == "After a form is registered , it is checked .".split()
+
+
 def test_swap_free_tokens(d1):
     doc, _ = apply_edit(d1, SwapTokens(3, 7))  # the two "is" free tokens
     assert [t.text for t in doc.tokens] == [t.text for t in d1.tokens]

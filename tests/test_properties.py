@@ -15,6 +15,9 @@
 * The packed perceptron, which stops once every distinct decision scores
   its gold class, trains the weights of the plain perceptron that runs
   every epoch.
+* The packed gold test says the gold class wins exactly when it is the
+  first highest score, and the epoch shuffle permutes and draws as
+  random.shuffle does.
 * The one-pass featurisation gives the token features, candidate pairs
   and pair features of the per-sentence and per-pair reference functions.
 
@@ -507,6 +510,49 @@ def test_packed_training_equals_the_reference_perceptron(case, epochs, seed, tag
     assert baselines._train(prepared, n, epochs, seed, ptags) == reference_train(
         prepared, n, epochs, seed, tags
     )
+
+
+@st.composite
+def packed_sums(draw):
+    """The fields of a sum of k packed rows and a gold class. Each field of
+    a row lies in [1, 2 * _BIAS - 1], so a field of the sum lies in
+    [k, k * (2 * _BIAS - 1)]; k = 0 gives the all-zero sum, and
+    k = _MAX_FEATURES - 1 fields at the headroom limit. Some fields are
+    copied onto others, and the gold class is often a tied highest one."""
+    n = draw(st.integers(1, 16))
+    most = baselines._MAX_FEATURES - 1
+    k = draw(st.one_of(st.just(0), st.just(most), st.integers(1, most)))
+    lo, hi = k, k * (2 * baselines._BIAS - 1)
+    scores = draw(st.lists(st.one_of(st.sampled_from((lo, hi)), st.integers(lo, hi)), min_size=n, max_size=n))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        scores[i] = scores[j]
+    best = [c for c, score in enumerate(scores) if score == max(scores)]
+    return scores, draw(st.one_of(st.integers(0, n - 1), st.sampled_from(best)))
+
+
+@PROPERTY
+@given(packed_sums())
+def test_the_gold_test_reads_the_argmax_from_the_packed_sum(case):
+    scores, gold = case
+    shifts, rights, mask, ones, top = baselines._gold_test(len(scores))
+    total = sum(score << (baselines._FIELD_BITS * c) for c, score in enumerate(scores))
+    wins = ((total >> shifts[gold] & mask) * ones + rights[gold] - total) & top == top
+    assert wins == (scores.index(max(scores)) == gold)
+
+
+@PROPERTY
+@given(
+    st.one_of(st.integers(0, 80), st.sampled_from((127, 128, 129, 1023, 1024, 1025, 12320))),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_epoch_shuffle_makes_the_draws_of_random_shuffle(length, seed):
+    ours, theirs = Random(seed), Random(seed)
+    x, y = list(range(length)), list(range(length))
+    baselines._shuffle(x, ours)
+    theirs.shuffle(y)
+    assert x == y
+    assert ours.getstate() == theirs.getstate()
+    assert ours.random() == theirs.random()
 
 
 @st.composite
