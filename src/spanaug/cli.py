@@ -22,7 +22,12 @@ from .corpus import Corpus, CorpusParseError, CorpusValidationError, load_corpus
 from .evaluation import cross_validate
 from .lexicon import LexiconError, builtin_lexicon, load_lexicon
 from .providers import ProviderError, make_provider
-from .stats import CorpusStats, compare_stats, corpus_stats
+from .stats import (
+    CorpusStats,
+    StatsDelta,
+    compare_stats,
+    corpus_stats,  # unused here; the benchmark tracer rebinds cli.corpus_stats
+)
 from .techniques import ConfigError, TechniqueConfig, augment_corpus, resolve_technique
 from .tpe import best_trial, optimize
 
@@ -88,8 +93,7 @@ def _csv_bytes(header, rows) -> bytes:
     return buffer.getvalue().encode()
 
 
-def _delta_csv(technique: str, original: Corpus, augmented: Corpus) -> bytes:
-    d = compare_stats(original, augmented)
+def _delta_csv(technique: str, d: StatsDelta) -> bytes:
     header = ("technique_id", "vocab_delta", "mention_len_delta", "direction_flip_rate")
     row = (technique, d.vocabulary_delta, d.mention_length_delta, d.direction_flip_rate)
     return _csv_bytes(header, [row])
@@ -126,7 +130,9 @@ def cmd_augment(args) -> dict[str, bytes]:
     types = (corpus.mention_types, corpus.relation_types)
     return {
         "augmented.json": serialize_corpus(Corpus(corpus.documents + tuple(synthetic), *types)),
-        "stats_delta.csv": _delta_csv(args.technique, corpus, Corpus(tuple(synthetic), *types)),
+        "stats_delta.csv": _delta_csv(
+            args.technique, compare_stats(corpus, Corpus(tuple(synthetic), *types))
+        ),
     }
 
 
@@ -204,14 +210,15 @@ def cmd_optimize(args) -> dict[str, bytes]:
 def cmd_analyze(args) -> dict[str, bytes]:
     original = load_corpus(args.corpus)
     augmented = load_corpus(args.augmented)
+    delta = compare_stats(original, augmented)
     header = ("corpus", *(f.name for f in dataclasses.fields(CorpusStats)))
     rows = [
-        (label, *dataclasses.astuple(corpus_stats(c)))
-        for label, c in (("original", original), ("augmented", augmented))
+        (label, *dataclasses.astuple(stats))
+        for label, stats in (("original", delta.original), ("augmented", delta.augmented))
     ]
     return {
         "stats.csv": _csv_bytes(header, rows),
-        "stats_delta.csv": _delta_csv(args.technique, original, augmented),
+        "stats_delta.csv": _delta_csv(args.technique, delta),
     }
 
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import urllib.error
-import urllib.request
 from typing import Mapping, Sequence
 
 from .lexicon import match_case
@@ -67,7 +65,8 @@ DEFAULT_REWRITES: Mapping[str, tuple[str, ...]] = {
 
 
 class ProviderError(RuntimeError):
-    """Rewrite backend failure: transport error, bad payload, or an output
+    """Rewrite backend failure: a failed request, an HTTP error status, a
+    malformed, truncated or non-UTF-8 response, a bad payload, or an output
     list whose length differs from the input."""
 
 
@@ -140,6 +139,12 @@ class HTTPProvider(ParaphraseProvider):
         self.timeout = timeout
 
     def rewrite(self, texts, mode, pivot=None, seed=0):
+        # Imported on first use: the HTTP and TLS stack (http.client, email,
+        # ssl) adds about 3 MB to the peak RSS of every process that loads
+        # it, and only a remote provider needs it.
+        import http.client
+        import urllib.request
+
         if mode not in MODES:
             raise ProviderError(f"unknown mode {mode!r}")
         payload: dict = {"mode": mode, "seed": seed, "texts": list(texts)}
@@ -151,10 +156,14 @@ class HTTPProvider(ParaphraseProvider):
             headers={"Content-Type": "application/json"},
             method="POST",
         )
+        # OSError covers a refused or timed-out request and an HTTP error
+        # status (urllib.error.URLError and HTTPError are subclasses),
+        # HTTPException a malformed or truncated response, and
+        # UnicodeDecodeError a body that is not UTF-8.
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as e:
+        except (OSError, http.client.HTTPException, UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ProviderError(f"rewrite request failed: {e}") from e
         rewrites = body.get("texts") if isinstance(body, dict) else None
         if not isinstance(rewrites, list) or not all(isinstance(t, str) for t in rewrites):

@@ -488,6 +488,35 @@ def test_http_provider_through_cli(tmp_path, corpus_file):
         server.shutdown()
 
 
+def test_garbage_provider_keeps_documents_and_warns(tmp_path, corpus_file, raw_server, caplog):
+    out = tmp_path / "garbage"
+    code = main(
+        [
+            "augment",
+            "--corpus", str(corpus_file),
+            "--technique", "paraphrase_spans",
+            "--seed", "2",
+            "--provider", raw_server(b"garbage\r\n\r\n"),
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    original = load_corpus(corpus_file)
+    augmented = load_corpus(out / "augmented.json")
+    synthetic = augmented.documents[len(original.documents) :]
+    assert len(synthetic) == len(original.documents)
+    for source, copy in zip(original.documents, synthetic):
+        assert copy.id == f"{source.id}-aug1"
+        assert (copy.tokens, copy.mentions, copy.relations) == (
+            source.tokens,
+            source.mentions,
+            source.relations,
+        )
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == len(original.documents)
+    assert all("provider failed, keeping" in w and "garbage" in w for w in warnings)
+
+
 # --- CSV tables --------------------------------------------------------------------------------
 
 
@@ -514,6 +543,31 @@ def test_gain_report_csv_rows(tmp_path, corpus20):
     head, task, base, aug, gain = rows[1].split(",")
     assert task == "re"
     assert float(aug) - float(base) == pytest.approx(float(gain))
+
+
+def test_analyze_computes_each_corpus_stats_once(monkeypatch, tmp_path, corpus_file):
+    import spanaug.cli as cli
+    import spanaug.stats as stats
+
+    calls = []
+    corpus_stats = stats.corpus_stats
+
+    def counting(c):
+        calls.append(c)
+        return corpus_stats(c)
+
+    monkeypatch.setattr(stats, "corpus_stats", counting)
+    monkeypatch.setattr(cli, "corpus_stats", counting)
+    code = main(
+        [
+            "analyze",
+            "--corpus", str(corpus_file),
+            "--augmented", str(corpus_file),
+            "--out", str(tmp_path / "ana"),
+        ]
+    )
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_stats_csv_rows(tmp_path, d1_corpus):

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import spanaug
 from spanaug.providers import (
     HTTPProvider,
     ProviderError,
@@ -130,6 +136,27 @@ def test_http_provider_connection_failure():
         provider.rewrite(["a"], "back_translate", pivot="de", seed=0)
 
 
+def test_http_provider_garbage_status_line(raw_server):
+    provider = HTTPProvider(raw_server(b"garbage\r\n\r\n"), timeout=5)
+    with pytest.raises(ProviderError, match="garbage"):
+        provider.rewrite(["a"], "back_translate", pivot="de", seed=0)
+
+
+def test_http_provider_truncated_body(raw_server):
+    head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+    provider = HTTPProvider(raw_server(head + b'{"texts": ["a"'), timeout=5)
+    with pytest.raises(ProviderError, match="IncompleteRead"):
+        provider.rewrite(["a"], "back_translate", pivot="de", seed=0)
+
+
+def test_http_provider_non_utf8_body(raw_server):
+    body = '{"texts": ["é"]}'.encode("latin-1")
+    head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body)
+    provider = HTTPProvider(raw_server(head + body), timeout=5)
+    with pytest.raises(ProviderError, match="utf-8"):
+        provider.rewrite(["a"], "back_translate", pivot="de", seed=0)
+
+
 def test_make_provider():
     assert isinstance(make_provider("stub"), StubProvider)
     assert isinstance(make_provider("http://somewhere/"), HTTPProvider)
@@ -141,3 +168,31 @@ def test_default_stub_rewrites_domain_words():
     stub = default_stub()
     out = stub.rewrite(["registered"], "back_translate", pivot="de", seed=1)
     assert out[0] in ("recorded", "filed")
+
+
+def test_stub_runs_leave_the_http_stack_unloaded():
+    # Only HTTPProvider.rewrite imports urllib.request, which brings in
+    # http.client, email and ssl (OpenSSL); a stub-provider command must
+    # not pay for them.
+    script = textwrap.dedent(
+        """
+        import sys, tempfile
+        from pathlib import Path
+        import spanaug
+        from spanaug.cli import main
+        sample = Path(spanaug.__file__).parent / "data" / "sample_corpus.json"
+        with tempfile.TemporaryDirectory() as out:
+            code = main([
+                "augment", "--corpus", str(sample), "--technique", "paraphrase_spans",
+                "--provider", "stub", "--seed", "1", "--out", out,
+            ])
+        assert code == 0, code
+        print(sorted(m for m in ("urllib.request", "http.client", "ssl") if m in sys.modules))
+        """
+    )
+    src = str(Path(spanaug.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.strip() == "[]"
