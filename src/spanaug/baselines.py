@@ -236,7 +236,6 @@ def _train(
                         urow[pred] -= step
                 if ptags is not None:
                     prev = ptags[pred]
-    steps = max(steps, 1)
     return {
         f: [x - _BIAS - a / steps for x, a in zip(unpack(w[f].to_bytes(width, "little")), u[f])]
         for f in sorted(w)

@@ -44,7 +44,9 @@ the right of the one being checked, so the tokens up to its end are the
 original ones, a mention start or end left of its end has not moved, and
 one right of it is still right of it after the earlier edits. The range,
 text, straddle, swallow and sentence verdicts compare only these, and the
-range message names the length the fold would have reached.
+range message names the length the fold would have reached. The one-pass
+code is the only ReplaceSpan applier: apply_edit applies a lone
+ReplaceSpan as a list of one.
 """
 
 from __future__ import annotations
@@ -209,20 +211,6 @@ def _delete(d: Document, e: DeleteTokens) -> _Applied:
     return tokens, first_survivor, last_survivor
 
 
-def _replace_span(d: Document, e: ReplaceSpan) -> _Applied:
-    new_tokens, delta = _checked_replacement(d, e, len(d.tokens))
-    s = e.start
-
-    # a mention covering the replacement keeps its start and moves its end
-    def start_of(i: int) -> int:
-        return i if i <= s else i + delta
-
-    def end_of(i: int) -> int:
-        return i if i < s else i + delta
-
-    return d.tokens[: e.start] + new_tokens + d.tokens[e.end + 1 :], start_of, end_of
-
-
 def _checked_replacement(d: Document, e: ReplaceSpan, n: int) -> tuple[tuple[Token, ...], int]:
     """The replacement tokens of e and the change in length, checked
     against d's tokens up to e.end and d's mentions; n is the length of
@@ -315,7 +303,6 @@ def _merge(d: Document, e: MergeSentences) -> _Applied:
 _APPLIERS = {
     InsertTokens: _insert,
     DeleteTokens: _delete,
-    ReplaceSpan: _replace_span,
     SwapTokens: _swap,
     PermuteSentences: _permute,
     MergeSentences: _merge,
@@ -326,6 +313,8 @@ def apply_edit(d: Document, e: Edit) -> tuple[Document, RemapReport]:
     """Apply one edit. Out-of-range indices raise EditError; structurally
     impossible edits are recorded in the report and leave the document
     unchanged."""
+    if type(e) is ReplaceSpan:
+        return _replace_spans(d, (e,))
     try:
         applier = _APPLIERS[type(e)]
     except KeyError:
@@ -348,8 +337,8 @@ def apply_edit(d: Document, e: Edit) -> tuple[Document, RemapReport]:
 
 
 def _replace_spans(d: Document, edits: Sequence[ReplaceSpan]) -> tuple[Document, RemapReport]:
-    """apply_edits in one pass for disjoint, rightmost-first ReplaceSpans
-    (see the module docstring)."""
+    """apply_edits in one pass for disjoint, rightmost-first ReplaceSpans,
+    and apply_edit for a lone one (see the module docstring)."""
     n, applied, rejected = len(d.tokens), [], []
     for e in edits:
         try:

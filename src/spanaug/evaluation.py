@@ -283,7 +283,9 @@ def cross_validate(
     technique both arms are identical and all gains are zero.
 
     The arms run in min(workers, arms) lanes, the calling process running
-    one (see _run_jobs); the report is the same at any worker count.
+    one (see _run_jobs); the report is the same at any worker count. Calls
+    that share a baseline_cache train the plain arm once per corpus and
+    settings.
     """
     for task in tasks:
         if task not in TASKS:
@@ -299,7 +301,7 @@ def cross_validate(
         if lexicon is None:  # one lexicon, and one memo, for every arm
             lexicon = builtin_lexicon()
 
-    cache_key = ("baseline", k, seed, epochs, window, tuple(tasks))
+    cache_key = ("baseline", corpus, k, seed, epochs, window, tuple(tasks))
     cached = baseline_cache.get(cache_key) if baseline_cache is not None else None
     # augmented arms take 2.5 to 3 times as long as plain ones, so they go first
     jobs = [(i, True) for i in range(k)] if technique is not None else []

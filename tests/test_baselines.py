@@ -511,6 +511,13 @@ def test_packed_scores_tie_toward_class_zero():
     assert weights["a"] == [-0.5, 0.25, 0.25]
 
 
+@pytest.mark.parametrize("ptags", [None, ("ptag=t0", "ptag=t1")], ids=["relations", "tagger"])
+def test_training_without_a_decision_learns_no_weight(ptags):
+    # no step updates a weight, so no average is taken
+    assert baselines._train([], 2, 3, 0, ptags) == {}
+    assert baselines._train([[]], 2, 3, 0, ptags) == {}
+
+
 def test_predict_ties_toward_class_zero():
     tags = ("O", "B-Actor", "I-Actor")
     model = TaggerModel(tags, {"w=alpha": [2.0, 2.0, 2.0], "ptag=<s>": [0.5, 0.5, 0.5]})

@@ -161,6 +161,56 @@ def test_one_token_replacement_on_a_mention_boundary(d1):
     assert [t.text for t in doc.tokens] == "After a form is registered , it is checked .".split()
 
 
+def reference_replace(d: Document, e: ReplaceSpan) -> tuple[Document, RemapReport]:
+    """apply_edit of one ReplaceSpan written on its own, the reference for
+    the one-pass code of edits._replace_spans: the checks in order, then
+    each mention moved through two index maps. A mention covering the span
+    keeps its start and moves its end; one right of the span moves by the
+    change in length."""
+    n = len(d.tokens)
+    if not 0 <= e.start <= e.end < n:
+        raise EditError(f"replace span [{e.start},{e.end}] out of range for {n} tokens")
+    for t in e.texts:
+        if not t or any(c.isspace() for c in t):
+            raise EditError(f"token text {t!r} is empty or contains whitespace")
+    if not e.texts:
+        raise EditError("replacement texts must be non-empty")
+
+    def rejected(reason):
+        return d, RemapReport(rejected=(RejectedEdit(e, reason),))
+
+    for m in d.mentions:
+        overlaps = m.start <= e.end and e.start <= m.end
+        covers = m.start <= e.start and e.end <= m.end
+        if overlaps and not covers:
+            if m.start < e.start or e.end < m.end:
+                return rejected(f"replacement straddles a boundary of mention {m.id}")
+            return rejected(f"replacement would swallow mention {m.id}")
+    old = d.tokens[e.start : e.end + 1]
+    delta = len(e.texts) - len(old)
+    if len({t.sentence for t in old}) == 1:
+        new = tuple(Token(t, old[0].sentence) for t in e.texts)
+    elif delta == 0:
+        new = tuple(Token(t, o.sentence) for t, o in zip(e.texts, old))
+    else:
+        return rejected("length-changing replacement across a sentence boundary")
+
+    def start_of(i):
+        return i if i <= e.start else i + delta
+
+    def end_of(i):
+        return i if i < e.start else i + delta
+
+    mentions, shrunk = [], []
+    for m in d.mentions:
+        start, end = start_of(m.start), end_of(m.end)
+        if end - start < m.end - m.start:
+            shrunk.append(m.id)
+        mentions.append(Mention(m.id, m.type, start, end))
+    tokens = d.tokens[: e.start] + new + d.tokens[e.end + 1 :]
+    return Document(d.id, tokens, tuple(mentions), d.relations), RemapReport(tuple(shrunk))
+
+
 def test_swap_free_tokens(d1):
     doc, _ = apply_edit(d1, SwapTokens(3, 7))  # the two "is" free tokens
     assert [t.text for t in doc.tokens] == [t.text for t in d1.tokens]

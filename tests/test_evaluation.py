@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import multiprocessing
+from functools import partial
 from random import Random
 
 import pytest
@@ -306,6 +307,20 @@ def test_baseline_cache_reused(corpus20):
     assert len(cache) == 1
     second = cross_validate(corpus20, 4, cfg, 5, tasks=("md",), epochs=2, baseline_cache=cache)
     assert first == second
+
+
+def test_baseline_cache_keeps_corpora_apart(corpus20):
+    halves = [
+        dataclasses.replace(corpus20, documents=docs)
+        for docs in (corpus20.documents[:10], corpus20.documents[10:])
+    ]
+    cfg = TechniqueConfig("random_token_insertion", {"n": 1})
+    cache = {}
+    run = partial(cross_validate, k=3, technique=cfg, seed=5, tasks=("md",), epochs=2)
+    shared = [run(half, baseline_cache=cache) for half in halves]
+    assert shared == [run(half) for half in halves]
+    assert len(cache) == 2
+    assert shared[0].tasks["md"].fold_baseline != shared[1].tasks["md"].fold_baseline
 
 
 def test_first_failed_arm_decides_the_error_at_any_worker_count(monkeypatch, corpus20):

@@ -4,9 +4,12 @@
   conserves the multiset of (relation type, head id, tail id).
 * An applied edit keeps the token texts of every mention it does not touch.
 * So does every technique, at any parameter values in its space.
-* A disjoint, rightmost-first list of ReplaceSpans, which apply_edits
-  applies in one pass, gives the document, the report and any EditError
-  of the left fold of apply_edit.
+* A lone ReplaceSpan gives the document, the report and any EditError
+  of reference_replace, and a disjoint, rightmost-first list of them, which
+  apply_edits applies in one pass, those of the left fold of
+  reference_replace.
+* Every technique's identity configuration reproduces its input byte for
+  byte.
 * A corpus survives serialize_corpus then parse_corpus unchanged, and one
   parse shares one Token per distinct (text, sentence).
 * serialize_corpus writes the bytes json.dumps writes for the corpus as a
@@ -39,6 +42,7 @@ from test_baselines import (
     reference_token_features,
     reference_train,
 )
+from test_edits import reference_replace
 
 from spanaug import baselines
 from spanaug.corpus import (
@@ -66,7 +70,8 @@ from spanaug.edits import (
     sentence_spans,
 )
 from spanaug.lexicon import builtin_lexicon
-from spanaug.techniques import TECHNIQUES, TechniqueConfig, apply_technique, make_context
+from spanaug.providers import identity_stub
+from spanaug.techniques import TECHNIQUES, TechniqueConfig, apply_technique, augment_corpus, make_context
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -222,24 +227,22 @@ def rightmost_first_replacements(draw):
     return doc, edits
 
 
+def outcome(apply, *args):
+    """apply(*args), or the type and message of the EditError it raised."""
+    try:
+        return apply(*args)
+    except EditError as error:
+        return type(error), str(error)
+
+
 def folded(doc: Document, edits):
-    """apply_edits as a left fold of apply_edit, or the EditError raised."""
+    """apply_edits of ReplaceSpans as a left fold of reference_replace."""
     shrunk, rejected = (), ()
-    try:
-        for e in edits:
-            doc, step = apply_edit(doc, e)
-            shrunk += step.mentions_shrunk
-            rejected += step.rejected
-    except EditError as error:
-        return type(error), str(error)
+    for e in edits:
+        doc, step = reference_replace(doc, e)
+        shrunk += step.mentions_shrunk
+        rejected += step.rejected
     return doc, RemapReport(shrunk, rejected)
-
-
-def one_pass(doc: Document, edits):
-    try:
-        return apply_edits(doc, edits)
-    except EditError as error:
-        return type(error), str(error)
 
 
 @settings(PROPERTY, max_examples=400)
@@ -247,7 +250,31 @@ def one_pass(doc: Document, edits):
 def test_one_pass_replacements_equal_the_fold(case):
     doc, edits = case
     assert all(b.end < a.start for a, b in zip(edits, edits[1:]))
-    assert one_pass(doc, edits) == folded(doc, edits)
+    assert outcome(apply_edits, doc, edits) == outcome(folded, doc, edits)
+
+
+@st.composite
+def lone_replacements(draw):
+    """A document and one ReplaceSpan: half of them on a mention's own
+    span, the others anywhere, some out of range or with empty or
+    whitespace texts."""
+    doc = draw(documents())
+    n = len(doc.tokens)
+    bounds = [(m.start, m.end) for m in doc.mentions]
+    if bounds and draw(st.booleans()):
+        start, end = draw(st.sampled_from(bounds))
+    else:
+        start = draw(st.integers(-1, n))
+        end = draw(st.integers(start - 1, start + 3))
+    texts = BAD_TEXTS if draw(st.integers(0, 9)) == 0 else REPLACEMENT_TEXTS
+    return doc, ReplaceSpan(start, end, draw(texts))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(lone_replacements())
+def test_a_lone_replacement_equals_the_reference(case):
+    doc, edit = case
+    assert outcome(apply_edit, doc, edit) == outcome(reference_replace, doc, edit)
 
 
 @st.composite
@@ -473,6 +500,17 @@ def test_techniques_keep_documents_valid_and_relations_conserved(name, doc, seed
         (m.id, m.type) for m in doc.mentions
     )
     assert relation_multiset(result) == relation_multiset(doc)
+
+
+@pytest.mark.parametrize("name", sorted(TECHNIQUES))
+@settings(PROPERTY, max_examples=60)
+@given(documents(words=st.sampled_from(SITE_WORDS)), st.integers(0, 2**32 - 1))
+def test_identity_configurations_reproduce_their_input(name, doc, seed):
+    cfg = TechniqueConfig(name, dict(TECHNIQUES[name].identity_params), n_aug=2)
+    synthetic = augment_corpus([doc], cfg, seed, lexicon=LEXICON, provider=identity_stub())
+    restored = tuple(Document(doc.id, d.tokens, d.mentions, d.relations) for d in synthetic)
+    expected = Corpus((doc, doc), MENTION_TYPES, RELATION_TYPES)
+    assert serialize_corpus(Corpus(restored, MENTION_TYPES, RELATION_TYPES)) == serialize_corpus(expected)
 
 
 @st.composite
