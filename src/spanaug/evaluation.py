@@ -6,6 +6,7 @@ synthetic documents added, scored on the untouched test fold.
 
 from __future__ import annotations
 
+import sys
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field
@@ -197,65 +198,89 @@ def _run_arm(experiment: _Experiment, fold_index: int, augmented: bool) -> dict[
     return out
 
 
-# The experiment a child process runs arms of, set once per child by the
+# Linux children start by fork at every Python version (3.14 makes
+# forkserver the default): fork hands them the experiment, and the model
+# inputs the calling process has memoized, without pickling. Elsewhere fork
+# is missing or unsafe, and the platform's default method is kept.
+_START_METHOD = "fork" if sys.platform == "linux" else None
+
+# (experiment, job counter) of a child process, set once per child by the
 # pool's initializer; never set in the calling process.
-_child_experiment: _Experiment | None = None
+_child_lane: tuple | None = None
 
 
-def _init_child(experiment: _Experiment) -> None:
-    global _child_experiment
-    _child_experiment = experiment
+def _init_child(experiment: _Experiment, counter) -> None:
+    global _child_lane
+    _child_lane = experiment, counter
 
 
-def _run_lane(experiment: _Experiment, jobs) -> tuple[list[dict[str, float]], Exception | None]:
-    """The results of jobs in order, up to the first job that raises, and
-    that job's error (None when every job finished)."""
-    results = []
-    for job in jobs:
+def _take(counter) -> int:
+    """The position of the next untaken job, which is now taken."""
+    with counter.get_lock():
+        position = counter.value
+        counter.value += 1
+    return position
+
+
+def _run_lane(experiment: _Experiment, jobs, counter, position: int):
+    """Runs jobs[position], then the next untaken job until none is left.
+    Returns (position, result) of each job this lane finished, and
+    (position, error) of the job that raised, or None. A job that raises
+    takes every job left, so no lane starts another."""
+    done: list[tuple[int, dict[str, float]]] = []
+    while position < len(jobs):
         try:
-            results.append(_run_arm(experiment, *job))
+            done.append((position, _run_arm(experiment, *jobs[position])))
         except Exception as error:
-            return results, error
-    return results, None
+            with counter.get_lock():
+                counter.value = len(jobs)
+            return done, (position, error)
+        position = _take(counter)
+    return done, None
 
 
-def _run_child_lane(jobs) -> tuple[list[dict[str, float]], Exception | None]:
-    results, error = _run_lane(_child_experiment, jobs)
-    if error is not None:
+def _run_child_lane(jobs):
+    experiment, counter = _child_lane
+    done, failure = _run_lane(experiment, jobs, counter, _take(counter))
+    if failure is not None:
+        error = failure[1]
         # a traceback is not pickled; its text crosses as a note, which
         # Python 3.11 and later print with the error
         trace = "".join(traceback.format_exception(error))
         error.__notes__ = [*getattr(error, "__notes__", ()), f"in a worker process:\n{trace}"]
-    return results, error
+    return done, failure
 
 
 def _run_jobs(experiment: _Experiment, jobs, workers: int) -> list[dict[str, float]]:
-    """Each job's result, in job order, from min(workers, len(jobs)) lanes.
-    Lane i runs jobs[i::lanes] in order: lane 0 in the calling process,
-    each other lane in a child process. So which process runs a job
-    depends only on the job count and workers. The pool uses the
-    platform's default start method: fork shares the inputs without
-    pickling them, spawn and forkserver pickle them once per child. When
-    jobs fail, the error of the first failed job is raised, as the
-    one-lane loop would raise it, and only once every child has been
-    joined."""
+    """Each job's result, in job order, from min(workers, len(jobs)) lanes:
+    the calling process runs job 0, a child process runs each other lane,
+    and each lane then takes the next untaken job until none is left. So
+    which process runs a job after job 0 depends on timing. The counter
+    and the pool come from one _START_METHOD context. Once a job fails no
+    lane takes another, and the error of the first failed job is raised,
+    as the one-lane loop would raise it (every earlier job was taken
+    before it and runs to its end), once every child has been joined."""
     lanes = min(workers, len(jobs))
     if lanes <= 1:
         return [_run_arm(experiment, *job) for job in jobs]
 
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(lanes - 1, initializer=_init_child, initargs=(experiment,)) as pool:
-        children = [pool.submit(_run_child_lane, jobs[i::lanes]) for i in range(1, lanes)]
-        outcomes = [_run_lane(experiment, jobs[::lanes])] + [c.result() for c in children]
+    context = multiprocessing.get_context(_START_METHOD)
+    counter = context.Value("i", 1)  # job 0 is the calling process's
+    with ProcessPoolExecutor(
+        lanes - 1, mp_context=context, initializer=_init_child, initargs=(experiment, counter)
+    ) as pool:
+        children = [pool.submit(_run_child_lane, jobs) for _ in range(1, lanes)]
+        outcomes = [_run_lane(experiment, jobs, counter, 0)] + [c.result() for c in children]
     results: list = [None] * len(jobs)
     failures = []
-    for lane, (done, error) in enumerate(outcomes):
-        positions = range(lane, len(jobs), lanes)
-        for position, result in zip(positions, done):
+    for done, failure in outcomes:
+        for position, result in done:
             results[position] = result
-        if error is not None:
-            failures.append((positions[len(done)], error))
+        if failure is not None:
+            failures.append(failure)
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return results
@@ -283,7 +308,8 @@ def cross_validate(
     technique both arms are identical and all gains are zero.
 
     The arms run in min(workers, arms) lanes, the calling process running
-    one (see _run_jobs); the report is the same at any worker count. Calls
+    the first arm and each lane then taking the next untaken one (see
+    _run_jobs); the report is the same at any worker count. Calls
     that share a baseline_cache train the plain arm once per corpus and
     settings.
     """

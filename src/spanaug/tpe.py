@@ -180,13 +180,13 @@ def optimize(
     error propagates, since a config drawn from the space is valid. So a
     bad task, k, epochs or window fails the first trial before it trains.
 
-    The unaugmented arm's cache key is (k, seed, epochs, window, tasks),
-    none of which changes between trials, so it is computed once and
-    reused by every trial.
+    The unaugmented arm's cache key is (corpus, k, seed, epochs, window,
+    tasks), none of which changes between trials, so it is computed once
+    and reused by every trial.
 
     Each trial runs its folds' arms in min(workers, arms) lanes, the
-    calling process running one; the trial log is the same at any worker
-    count.
+    calling process running the first arm and each lane then taking the
+    next untaken one; the trial log is the same at any worker count.
     """
     technique = resolve_technique(technique_id)
     if n_trials < 1:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import multiprocessing
+import time
 from functools import partial
 from random import Random
 
@@ -8,6 +9,7 @@ import pytest
 
 from corpora import fixture_corpus, kuhn_matching_score
 
+from spanaug import evaluation
 from spanaug.corpus import Mention, Relation
 from spanaug.evaluation import (
     GainReport,
@@ -336,14 +338,53 @@ def test_first_failed_arm_decides_the_error_at_any_worker_count(monkeypatch, cor
     monkeypatch.setattr("spanaug.evaluation.augment_corpus", leaks_on_folds_1_and_2)
     cfg = TechniqueConfig("random_token_swap", {"s": 2})
     messages = []
-    # at 2 workers fold 2's arm is in the calling process's lane, fold 1's
-    # in the child's; at 3 both are in children
+    # the calling process runs fold 0's arm; which lane takes fold 1's and
+    # fold 2's depends on timing, and at 3 workers they may be in two children
     for workers in (1, 2, 3):
         with pytest.raises(RuntimeError, match="not derived from the training fold") as caught:
             cross_validate(corpus20, 4, cfg, 0, tasks=("md",), epochs=1, workers=workers)
         messages.append(str(caught.value))
         assert multiprocessing.active_children() == []
     assert len(set(messages)) == 1
+
+
+def test_an_earlier_arm_failing_later_decides_the_error(monkeypatch, corpus20, tmp_path):
+    """At 3 workers, fold 1's arm fails at once in a child, while fold 0's
+    arm (the calling process's) and fold 2's wait for that failure; then
+    fold 0's fails and fold 2's finishes. Fold 0's error is raised, as at
+    one worker, and no lane takes an arm after the first failure, so
+    fold 3's augmented arm never starts."""
+    fold_of = {derive_seed(0, "augment", i): i for i in range(4)}
+    failed_at_once = tmp_path / "fold-1-failed"
+
+    def fold_1_fails_first(train_docs, technique, seed, **kw):
+        fold = fold_of[seed]
+        (tmp_path / f"started-{fold}").touch()
+        if fold == 1:
+            failed_at_once.touch()
+        deadline = time.monotonic() + 30
+        while not failed_at_once.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if fold > 1:
+            return []
+        train_ids = {d.id for d in train_docs}
+        tested = [d for d in corpus20.documents if d.id not in train_ids]
+        return [dataclasses.replace(d, id=f"{d.id}-aug1") for d in tested]
+
+    monkeypatch.setattr("spanaug.evaluation.augment_corpus", fold_1_fails_first)
+    cfg = TechniqueConfig("random_token_swap", {"s": 2})
+    run = partial(cross_validate, corpus20, 4, cfg, 0, tasks=("md",), epochs=1)
+    failed_at_once.touch()  # one lane: fold 0's arm fails first, with nothing to wait for
+    with pytest.raises(RuntimeError) as serial:
+        run(workers=1)
+    for marker in tmp_path.iterdir():
+        marker.unlink()
+    with pytest.raises(RuntimeError) as lanes:
+        run(workers=3)
+    assert multiprocessing.active_children() == []
+    started = {p.name for p in tmp_path.glob("started-*")}
+    assert {"started-0", "started-1"} <= started <= {"started-0", "started-1", "started-2"}
+    assert str(lanes.value) == str(serial.value)
 
 
 def test_reports_are_equal_at_any_worker_count(monkeypatch):
@@ -373,16 +414,12 @@ def test_reports_are_equal_at_any_worker_count(monkeypatch):
 
 
 def test_reports_are_equal_when_children_are_spawned(monkeypatch):
-    """Under spawn (or forkserver, the default on some platforms) the
-    initializer's inputs are pickled and children import the package
-    afresh."""
-
-    class SpawningPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            super().__init__(max_workers, mp_context=multiprocessing.get_context("spawn"), **kwargs)
-
+    """Under spawn and forkserver the initializer's inputs, the job counter
+    among them, are pickled and children import the package afresh."""
     corpus = fixture_corpus(6, seed=4)
     cfg = TechniqueConfig("lexicon_substitution", {"mode": "synonym", "p": 0.5})
     serial = cross_validate(corpus, 3, cfg, 9, tasks=("md",), epochs=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawningPool)
-    assert cross_validate(corpus, 3, cfg, 9, tasks=("md",), epochs=1, workers=2) == serial
+    for method in ("spawn", "forkserver"):
+        monkeypatch.setattr(evaluation, "_START_METHOD", method)
+        assert cross_validate(corpus, 3, cfg, 9, tasks=("md",), epochs=1, workers=2) == serial
+        assert multiprocessing.active_children() == []

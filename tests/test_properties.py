@@ -23,6 +23,7 @@
   random.shuffle does.
 * The one-pass featurisation gives the token features, candidate pairs
   and pair features of the per-sentence and per-pair reference functions.
+* cross_validate gives the same report at 1, 2 and 3 workers.
 
 Generation is derandomized and the number of examples bounded, so these
 tests are deterministic and take a few seconds.
@@ -69,6 +70,7 @@ from spanaug.edits import (
     apply_edits,
     sentence_spans,
 )
+from spanaug.evaluation import cross_validate
 from spanaug.lexicon import builtin_lexicon
 from spanaug.providers import identity_stub
 from spanaug.techniques import TECHNIQUES, TechniqueConfig, apply_technique, augment_corpus, make_context
@@ -627,3 +629,28 @@ def test_featurisation_equals_the_reference(doc, window):
         (id(head), id(tail), reference_pair_features(doc, head, tail))
         for head, tail in reference_candidate_pairs(doc, window)
     ]
+
+
+@st.composite
+def experiments(draw):
+    """A corpus of 3-6 documents, a fold count that it admits, and a
+    technique that changes documents."""
+    docs = draw(st.lists(documents(words=st.sampled_from(SITE_WORDS)), min_size=3, max_size=6))
+    docs = tuple(Document(f"doc-{i}", d.tokens, d.mentions, d.relations) for i, d in enumerate(docs))
+    k = draw(st.integers(2, min(3, len(docs))))
+    technique = draw(st.sampled_from((
+        TechniqueConfig("random_token_swap", {"s": 1}),
+        TechniqueConfig("lexicon_substitution", {"mode": "synonym", "p": 0.5}, n_aug=2),
+    )))
+    return Corpus(docs, MENTION_TYPES, RELATION_TYPES), k, technique
+
+
+@settings(PROPERTY, max_examples=10)
+@given(experiments(), st.integers(0, 2**32 - 1))
+def test_reports_are_equal_at_1_2_and_3_workers(case, seed):
+    corpus, k, technique = case
+    reports = [
+        cross_validate(corpus, k, technique, seed, epochs=2, lexicon=LEXICON, workers=workers)
+        for workers in (1, 2, 3)
+    ]
+    assert reports[0] == reports[1] == reports[2]

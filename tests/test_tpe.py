@@ -1,4 +1,5 @@
 import os
+import time
 from random import Random
 
 import pytest
@@ -260,18 +261,27 @@ def test_optimize_validates_task(corpus20):
         optimize("random_token_deletion", corpus20, "both", n_trials=1, seed=0)
 
 
-def test_optimize_records_a_provider_error_in_a_child_lane(monkeypatch, corpus20):
+def test_optimize_records_a_provider_error_in_a_child_lane(monkeypatch, corpus20, tmp_path):
     parent = os.getpid()
     trials = []
     cross_validate = spanaug.tpe.cross_validate
+    raised = tmp_path / "raised"
 
     def counting(*args, **kwargs):
         trials.append(len(trials))
         return cross_validate(*args, **kwargs)
 
     def fails_in_a_child_in_the_first_trial(train_docs, technique, seed, **kw):
-        if os.getpid() != parent and len(trials) == 1:
+        if len(trials) != 1:
+            return []
+        if os.getpid() != parent:
+            raised.touch()
             raise ProviderError("rewrite service unreachable")
+        # the calling process holds its first arm until the child has
+        # taken the next, an augmented one, and failed it
+        deadline = time.monotonic() + 30
+        while not raised.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
         return []
 
     monkeypatch.setattr("spanaug.tpe.cross_validate", counting)
