@@ -21,7 +21,7 @@ from . import __version__
 from .corpus import Corpus, CorpusParseError, CorpusValidationError, load_corpus, serialize_corpus
 from .evaluation import cross_validate
 from .lexicon import LexiconError, builtin_lexicon, load_lexicon
-from .providers import ProviderError, make_provider
+from .providers import make_provider
 from .stats import (
     CorpusStats,
     StatsDelta,
@@ -33,7 +33,7 @@ from .tpe import best_trial, optimize
 
 # The first entry whose classes match an error decides the exit code.
 _EXIT_CODES = (
-    ((CorpusParseError, CorpusValidationError, LexiconError, ProviderError, RuntimeError), 1),
+    ((CorpusParseError, CorpusValidationError, LexiconError, RuntimeError), 1),
     ((ValueError, FileNotFoundError, NotADirectoryError), 2),
     (OSError, 1),
 )

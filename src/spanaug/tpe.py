@@ -176,9 +176,11 @@ def optimize(
     best_trial(history) and the full trial log.
 
     The search space is the technique's parameters followed by n_aug
-    (N_AUG). A trial whose provider fails is recorded as failed; any other
-    error propagates, since a config drawn from the space is valid. So a
-    bad task, k, epochs or window fails the first trial before it trains.
+    (N_AUG). A trial in which cross_validate raises a ProviderError is
+    recorded as failed; augmentation itself never does, since it keeps a
+    document whose provider fails. Any other error propagates, since a
+    config drawn from the space is valid. So a bad task, k, epochs or
+    window fails the first trial before it trains.
 
     The unaugmented arm's cache key is (corpus, k, seed, epochs, window,
     tasks), none of which changes between trials, so it is computed once

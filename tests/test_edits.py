@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from random import Random
 
@@ -14,6 +15,7 @@ import spanaug
 import spanaug.edits as edits_module
 from spanaug.corpus import Document, Mention, Token, make_document, validate_document
 from spanaug.edits import (
+    MERGE_PUNCTUATION,
     DeleteTokens,
     EditError,
     InsertTokens,
@@ -161,31 +163,48 @@ def test_one_token_replacement_on_a_mention_boundary(d1):
     assert [t.text for t in doc.tokens] == "After a form is registered , it is checked .".split()
 
 
+def check_reference_texts(texts) -> None:
+    for t in texts:
+        if not t or any(c.isspace() for c in t):
+            raise EditError(f"token text {t!r} is empty or contains whitespace")
+
+
+def reference_rejected(d: Document, e, reason: str) -> tuple[Document, RemapReport]:
+    return d, RemapReport(rejected=(RejectedEdit(e, reason),))
+
+
+def reference_moved(d: Document, tokens, start_of, end_of) -> tuple[Document, RemapReport]:
+    """d with the given tokens and each mention moved to [start_of(start),
+    end_of(end)]; a mention that comes out shorter has shrunk."""
+    mentions, shrunk = [], []
+    for m in d.mentions:
+        start, end = start_of(m.start), end_of(m.end)
+        if end - start < m.end - m.start:
+            shrunk.append(m.id)
+        mentions.append(Mention(m.id, m.type, start, end))
+    return Document(d.id, tuple(tokens), tuple(mentions), d.relations), RemapReport(tuple(shrunk))
+
+
 def reference_replace(d: Document, e: ReplaceSpan) -> tuple[Document, RemapReport]:
     """apply_edit of one ReplaceSpan written on its own, the reference for
-    the one-pass code of edits._replace_spans: the checks in order, then
-    each mention moved through two index maps. A mention covering the span
-    keeps its start and moves its end; one right of the span moves by the
-    change in length."""
+    the splice code of edits.py: the checks in order, then each mention
+    moved through two index maps. A mention covering the span keeps its
+    start and moves its end; one right of the span moves by the change in
+    length."""
     n = len(d.tokens)
     if not 0 <= e.start <= e.end < n:
         raise EditError(f"replace span [{e.start},{e.end}] out of range for {n} tokens")
-    for t in e.texts:
-        if not t or any(c.isspace() for c in t):
-            raise EditError(f"token text {t!r} is empty or contains whitespace")
+    check_reference_texts(e.texts)
     if not e.texts:
         raise EditError("replacement texts must be non-empty")
-
-    def rejected(reason):
-        return d, RemapReport(rejected=(RejectedEdit(e, reason),))
 
     for m in d.mentions:
         overlaps = m.start <= e.end and e.start <= m.end
         covers = m.start <= e.start and e.end <= m.end
         if overlaps and not covers:
             if m.start < e.start or e.end < m.end:
-                return rejected(f"replacement straddles a boundary of mention {m.id}")
-            return rejected(f"replacement would swallow mention {m.id}")
+                return reference_rejected(d, e, f"replacement straddles a boundary of mention {m.id}")
+            return reference_rejected(d, e, f"replacement would swallow mention {m.id}")
     old = d.tokens[e.start : e.end + 1]
     delta = len(e.texts) - len(old)
     if len({t.sentence for t in old}) == 1:
@@ -193,7 +212,7 @@ def reference_replace(d: Document, e: ReplaceSpan) -> tuple[Document, RemapRepor
     elif delta == 0:
         new = tuple(Token(t, o.sentence) for t, o in zip(e.texts, old))
     else:
-        return rejected("length-changing replacement across a sentence boundary")
+        return reference_rejected(d, e, "length-changing replacement across a sentence boundary")
 
     def start_of(i):
         return i if i <= e.start else i + delta
@@ -201,14 +220,89 @@ def reference_replace(d: Document, e: ReplaceSpan) -> tuple[Document, RemapRepor
     def end_of(i):
         return i if i < e.start else i + delta
 
-    mentions, shrunk = [], []
-    for m in d.mentions:
-        start, end = start_of(m.start), end_of(m.end)
-        if end - start < m.end - m.start:
-            shrunk.append(m.id)
-        mentions.append(Mention(m.id, m.type, start, end))
     tokens = d.tokens[: e.start] + new + d.tokens[e.end + 1 :]
-    return Document(d.id, tokens, tuple(mentions), d.relations), RemapReport(tuple(shrunk))
+    return reference_moved(d, tokens, start_of, end_of)
+
+
+def reference_insert(d: Document, e: InsertTokens) -> tuple[Document, RemapReport]:
+    """apply_edit of one InsertTokens through an index map: both ends of a
+    mention at or right of the insertion point move by its length."""
+    n = len(d.tokens)
+    if not 0 <= e.position <= n:
+        raise EditError(f"insert position {e.position} out of range 0..{n}")
+    check_reference_texts(e.texts)
+    p, k = e.position, len(e.texts)
+    sentence = d.tokens[min(p, n - 1)].sentence if n else 0
+    tokens = d.tokens[:p] + tuple(Token(t, sentence) for t in e.texts) + d.tokens[p:]
+
+    def shift(i):
+        return i + k if i >= p else i
+
+    return reference_moved(d, tokens, shift, shift)
+
+
+def reference_delete(d: Document, e: DeleteTokens) -> tuple[Document, RemapReport]:
+    """apply_edit of one DeleteTokens through two index maps: a start goes
+    to its first surviving token, an end to its last."""
+    n = len(d.tokens)
+    for p in set(e.positions):
+        if not 0 <= p < n:
+            raise EditError(f"delete position {p} out of range 0..{n - 1}")
+    gone = sorted(e.positions)
+
+    def first_survivor(i):
+        return i - bisect_left(gone, i)
+
+    def last_survivor(i):
+        return i - bisect_right(gone, i)
+
+    for m in d.mentions:
+        if last_survivor(m.end) < first_survivor(m.start):
+            return reference_rejected(d, e, f"would delete every token of mention {m.id}")
+    tokens = [t for i, t in enumerate(d.tokens) if i not in e.positions]
+    return reference_moved(d, tokens, first_survivor, last_survivor)
+
+
+def reference_owner(d: Document, index: int):
+    return next((m for m in d.mentions if m.start <= index <= m.end), None)
+
+
+def reference_swap(d: Document, e: SwapTokens) -> tuple[Document, RemapReport]:
+    """apply_edit of one SwapTokens: the two texts trade places in a copy
+    of the tokens, and no mention moves."""
+    n = len(d.tokens)
+    for p in (e.i, e.j):
+        if not 0 <= p < n:
+            raise EditError(f"swap position {p} out of range 0..{n - 1}")
+    if reference_owner(d, e.i) is not reference_owner(d, e.j):
+        return reference_rejected(d, e, "tokens belong to different mention/non-mention regions")
+    tokens = list(d.tokens)
+    ti, tj = tokens[e.i], tokens[e.j]
+    tokens[e.i] = Token(tj.text, ti.sentence)
+    tokens[e.j] = Token(ti.text, tj.sentence)
+    return Document(d.id, tuple(tokens), d.mentions, d.relations), RemapReport()
+
+
+def reference_merge(d: Document, e: MergeSentences) -> tuple[Document, RemapReport]:
+    """apply_edit of one MergeSentences: the second sentence takes the
+    first one's value, and a free sentence-final punctuation token of the
+    first is deleted, moving every index right of it left by one."""
+    spans = sentence_spans(d)
+    if not 0 <= e.first < len(spans) - 1:
+        raise EditError(f"sentence position {e.first} has no following sentence to merge")
+    first_value, _, first_end = spans[e.first]
+    _, second_start, second_end = spans[e.first + 1]
+    tokens = list(d.tokens)
+    for i in range(second_start, second_end + 1):
+        tokens[i] = Token(tokens[i].text, first_value)
+    if d.tokens[first_end].text not in MERGE_PUNCTUATION or reference_owner(d, first_end) is not None:
+        return Document(d.id, tuple(tokens), d.mentions, d.relations), RemapReport()
+    del tokens[first_end]
+
+    def shift(i):
+        return i - 1 if i > first_end else i
+
+    return reference_moved(d, tokens, shift, shift)
 
 
 def test_swap_free_tokens(d1):

@@ -7,7 +7,11 @@
 * A lone ReplaceSpan gives the document, the report and any EditError
   of reference_replace, and a disjoint, rightmost-first list of them, which
   apply_edits applies in one pass, those of the left fold of
-  reference_replace.
+  reference_replace. A lone InsertTokens, DeleteTokens, SwapTokens or
+  MergeSentences gives those of its reference, which moves mentions
+  through the edit's own index maps.
+* An edit keeps, as the same object, each mention whose ends it does not
+  move.
 * Every technique's identity configuration reproduces its input byte for
   byte.
 * A corpus survives serialize_corpus then parse_corpus unchanged, and one
@@ -43,7 +47,13 @@ from test_baselines import (
     reference_token_features,
     reference_train,
 )
-from test_edits import reference_replace
+from test_edits import (
+    reference_delete,
+    reference_insert,
+    reference_merge,
+    reference_replace,
+    reference_swap,
+)
 
 from spanaug import baselines
 from spanaug.corpus import (
@@ -277,6 +287,49 @@ def lone_replacements(draw):
 def test_a_lone_replacement_equals_the_reference(case):
     doc, edit = case
     assert outcome(apply_edit, doc, edit) == outcome(reference_replace, doc, edit)
+
+
+@st.composite
+def lone_splice_edits(draw):
+    """A document and one InsertTokens, DeleteTokens, SwapTokens or
+    MergeSentences, some with an index out of range or, for an insertion,
+    empty or whitespace texts."""
+    doc = draw(documents())
+    n, sentences = len(doc.tokens), len(sentence_spans(doc))
+    index = st.integers(-1, n)  # -1 and n are out of range but for an insertion
+    texts = BAD_TEXTS if draw(st.integers(0, 9)) == 0 else REPLACEMENT_TEXTS
+    edit = st.one_of(
+        st.builds(InsertTokens, st.integers(-1, n + 1), texts),
+        st.builds(DeleteTokens, st.frozensets(index, min_size=1, max_size=3)),
+        st.builds(SwapTokens, index, index),
+        st.builds(MergeSentences, st.integers(-1, sentences - 1)),
+    )
+    return doc, draw(edit)
+
+
+REFERENCES = {
+    InsertTokens: reference_insert,
+    DeleteTokens: reference_delete,
+    SwapTokens: reference_swap,
+    MergeSentences: reference_merge,
+}
+
+
+@settings(PROPERTY, max_examples=400)
+@given(lone_splice_edits())
+def test_a_lone_splice_edit_equals_its_reference(case):
+    doc, edit = case
+    assert outcome(apply_edit, doc, edit) == outcome(REFERENCES[type(edit)], doc, edit)
+
+
+@PROPERTY
+@given(st.data())
+def test_an_edit_keeps_each_mention_whose_ends_do_not_move(data):
+    doc = data.draw(documents())
+    result, _ = apply_edit(doc, data.draw(edits_for(doc)))
+    for before, after in zip(doc.mentions, result.mentions, strict=True):
+        if (after.start, after.end) == (before.start, before.end):
+            assert after is before
 
 
 @st.composite
