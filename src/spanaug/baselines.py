@@ -29,7 +29,6 @@ every fold, arm, trial and forked lane reuses them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain
@@ -39,9 +38,6 @@ from struct import Struct
 
 from .corpus import Corpus, Document, Mention, Relation
 from .edits import sentence_spans
-
-TAGGER_FORMAT = "spanaug-tagger/1"
-RELATIONS_FORMAT = "spanaug-relations/1"
 
 
 @dataclass
@@ -434,42 +430,3 @@ def predict_relations(model: RelModel, d: Document) -> list[Relation]:
         if pred != 0:
             out.append(Relation(f"r{len(out)}", classes[pred], head.id, tail.id))
     return out
-
-
-def save_tagger(model: TaggerModel, path) -> None:
-    obj = {"format": TAGGER_FORMAT, "tags": list(model.tags), "weights": model.weights}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True)
-        f.write("\n")
-
-
-def load_tagger(path) -> TaggerModel:
-    with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
-    if obj.get("format") != TAGGER_FORMAT:
-        raise ValueError(f"unsupported tagger format {obj.get('format')!r}")
-    return TaggerModel(tuple(obj["tags"]), {f: list(map(float, r)) for f, r in obj["weights"].items()})
-
-
-def save_relation_model(model: RelModel, path) -> None:
-    obj = {
-        "format": RELATIONS_FORMAT,
-        "relation_types": list(model.relation_types),
-        "window": model.window,
-        "weights": model.weights,
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True)
-        f.write("\n")
-
-
-def load_relation_model(path) -> RelModel:
-    with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
-    if obj.get("format") != RELATIONS_FORMAT:
-        raise ValueError(f"unsupported relation-model format {obj.get('format')!r}")
-    return RelModel(
-        tuple(obj["relation_types"]),
-        int(obj["window"]),
-        {f: list(map(float, r)) for f, r in obj["weights"].items()},
-    )

@@ -99,7 +99,7 @@ class CatParam:
     default: Any
 
     def check(self, v):
-        if v not in self.choices:
+        if not any(v == c and type(v) is type(c) for c in self.choices):
             raise ConfigError(f"value {v!r} not one of {self.choices}")
         return v
 
@@ -163,45 +163,46 @@ class TechniqueConfig:
 @dataclass
 class AugmentContext:
     """Shared resources bound before augmentation: the lexicon, the
-    rewrite provider, the insertion vocabulary, and the donor documents
-    for cross-document techniques."""
+    rewrite provider, and the donor documents for cross-document
+    techniques. The tables derived from them are built once, on first
+    use."""
 
     lexicon: Lexicon
     provider: ParaphraseProvider
-    vocabulary: tuple[str, ...]
     donor_documents: tuple[Document, ...]
-    _donor_index: dict | None = field(default=None, init=False, repr=False)
-    _long_forms: dict | None = field(default=None, init=False, repr=False)
     _order_counts: dict = field(default_factory=dict, init=False, repr=False)
 
+    @cached_property
+    def vocabulary(self) -> tuple[str, ...]:
+        """The sorted distinct token texts of the donor documents."""
+        return tuple(sorted({t.text for d in self.donor_documents for t in d.tokens}))
+
+    @cached_property
     def donor_index(self) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
         """POS-tag sequence -> free-span token subsequences over the donor
-        documents (built once, lazily)."""
-        if self._donor_index is None:
-            index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-            for doc in self.donor_documents:
-                for s, e in _sentence_internal_free_spans(doc):
-                    texts = [t.text for t in doc.tokens[s : e + 1]]
-                    tags = [self.lexicon.coarse_pos(t) for t in texts]
-                    for a in range(len(texts)):
-                        for b in range(a, len(texts)):
-                            key = tuple(tags[a : b + 1])
-                            index.setdefault(key, []).append(tuple(texts[a : b + 1]))
-            self._donor_index = index
-        return self._donor_index
+        documents."""
+        index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for doc in self.donor_documents:
+            for s, e in _sentence_internal_free_spans(doc):
+                texts = [t.text for t in doc.tokens[s : e + 1]]
+                tags = [self.lexicon.coarse_pos(t) for t in texts]
+                for a in range(len(texts)):
+                    for b in range(a, len(texts)):
+                        key = tuple(tags[a : b + 1])
+                        index.setdefault(key, []).append(tuple(texts[a : b + 1]))
+        return index
 
+    @cached_property
     def long_forms(self) -> dict[str, list[tuple[tuple[str, ...], str]]]:
         """First word -> (lowercased words, short form) of each long form of
-        two or more words, longest first, then by long form (built once,
-        lazily)."""
-        if self._long_forms is None:
-            self._long_forms = {}
-            by_length = sorted(self.lexicon.expansions.items(), key=lambda e: (-len(e[0].split()), e[0]))
-            for long, short in by_length:
-                form = tuple(w.lower() for w in long.split())
-                if len(form) >= 2:
-                    self._long_forms.setdefault(form[0], []).append((form, short))
-        return self._long_forms
+        two or more words, longest first, then by long form."""
+        long_forms: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+        by_length = sorted(self.lexicon.expansions.items(), key=lambda e: (-len(e[0].split()), e[0]))
+        for long, short in by_length:
+            form = tuple(w.lower() for w in long.split())
+            if len(form) >= 2:
+                long_forms.setdefault(form[0], []).append((form, short))
+        return long_forms
 
     def order_counts(self, max_disp: int, n: int) -> list[dict[int, int]]:
         """Completion counts of bounded sentence orders: ``counts[left][used]``
@@ -230,11 +231,9 @@ def make_context(
     lexicon: Lexicon | None = None,
     provider: ParaphraseProvider | None = None,
 ) -> AugmentContext:
-    vocabulary = tuple(sorted({t.text for d in documents for t in d.tokens}))
     return AugmentContext(
         lexicon=lexicon if lexicon is not None else builtin_lexicon(),
         provider=provider if provider is not None else default_stub(),
-        vocabulary=vocabulary,
         donor_documents=tuple(documents),
     )
 
@@ -404,7 +403,7 @@ def _auxiliary_negation_removal(d, params, rng, ctx):
 
 
 def _abbreviation_matches(d: Document, ctx: AugmentContext) -> list[tuple[int, int, tuple[str, ...]]]:
-    long_forms = ctx.long_forms()
+    long_forms = ctx.long_forms
     mask = _mention_mask(d)
     lower = [t.text.lower() for t in d.tokens]
     n = len(lower)
@@ -538,7 +537,7 @@ def _subsequence_substitution(d, params, rng, ctx):
     pieces = _sentence_internal_free_spans(d)
     if not pieces:
         return [], False
-    index = ctx.donor_index()
+    index = ctx.donor_index
     chosen = []
     for s, e in pieces:
         if rng.random() >= params["p"]:

@@ -9,8 +9,6 @@ from spanaug import baselines
 from spanaug.baselines import (
     RelModel,
     TaggerModel,
-    load_relation_model,
-    load_tagger,
     predict_mentions,
     predict_relations,
     predict_tags,
@@ -157,47 +155,6 @@ def test_relations_training_deterministic():
 def test_relations_reject_empty_corpus():
     with pytest.raises(ValueError):
         train_relations(Corpus(()), epochs=1)
-
-
-# --- persistence ------------------------------------------------------------------
-
-
-def test_tagger_round_trips_through_json(tmp_path):
-    from spanaug.baselines import save_tagger
-
-    corpus = separable_tagger_corpus()
-    model = train_tagger(corpus, epochs=3, seed=1)
-    save_tagger(model, tmp_path / "tagger.json")
-    loaded = load_tagger(tmp_path / "tagger.json")
-    for doc in corpus.documents:
-        assert predict_tags(loaded, doc) == predict_tags(model, doc)
-
-
-def test_relation_model_round_trips_through_json(tmp_path):
-    from spanaug.baselines import save_relation_model
-
-    corpus = separable_relation_corpus()
-    model = train_relations(corpus, epochs=3, seed=1)
-    save_relation_model(model, tmp_path / "relations.json")
-    loaded = load_relation_model(tmp_path / "relations.json")
-    for doc in corpus.documents:
-        assert relation_keys(predict_relations(loaded, doc)) == relation_keys(
-            predict_relations(model, doc)
-        )
-
-
-def test_model_files_reject_wrong_format(tmp_path):
-    from spanaug.baselines import save_relation_model, save_tagger
-
-    corpus = separable_tagger_corpus()
-    save_tagger(train_tagger(corpus, epochs=1, seed=0), tmp_path / "m.json")
-    with pytest.raises(ValueError):
-        load_relation_model(tmp_path / "m.json")
-    save_relation_model(
-        train_relations(separable_relation_corpus(), epochs=1, seed=0), tmp_path / "r.json"
-    )
-    with pytest.raises(ValueError):
-        load_tagger(tmp_path / "r.json")
 
 
 # --- packed training against the plain dict-of-lists perceptron ------------------

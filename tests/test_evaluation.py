@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import multiprocessing
+import os
 import time
 from functools import partial
 from random import Random
@@ -386,6 +387,31 @@ def test_an_earlier_arm_failing_later_decides_the_error(monkeypatch, corpus20, t
     assert {"started-0", "started-1"} <= started <= {"started-0", "started-1", "started-2"}
     assert str(lanes.value) == str(serial.value)
 
+
+def test_an_error_from_a_child_lane_keeps_its_traceback(monkeypatch, corpus20, tmp_path):
+    """At 2 workers fold 1's augmented arm fails in the child, while the
+    calling process holds fold 0's arm until that failure. The child's
+    error is raised, with the child's traceback as its one note."""
+    parent = os.getpid()
+    raised = tmp_path / "raised"
+
+    def fails_only_in_a_child(train_docs, technique, seed, **kw):
+        if os.getpid() != parent:
+            raised.touch()
+            raise RuntimeError("augmentation failed in the child")
+        deadline = time.monotonic() + 30
+        while not raised.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return []
+
+    monkeypatch.setattr("spanaug.evaluation.augment_corpus", fails_only_in_a_child)
+    cfg = TechniqueConfig("random_token_swap", {"s": 2})
+    with pytest.raises(RuntimeError, match="failed in the child") as caught:
+        cross_validate(corpus20, 2, cfg, 0, tasks=("md",), epochs=1, workers=2)
+    assert multiprocessing.active_children() == []
+    (note,) = caught.value.__notes__
+    assert note.startswith("in a worker process:")
+    assert "_run_arm" in note
 
 def test_reports_are_equal_at_any_worker_count(monkeypatch):
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):

@@ -693,6 +693,9 @@ def test_out_of_range_params_rejected(d1):
         TechniqueConfig("random_token_deletion", {"p": 1.5}).resolved
     with pytest.raises(ConfigError):
         TechniqueConfig("random_token_deletion", {"nope": 1}).resolved
+    for flag in (1, 0, 1.0):  # equal to True or False, but not a boolean
+        with pytest.raises(ConfigError, match="in_mentions"):
+            TechniqueConfig("filler_word_insertion", {"in_mentions": flag}).resolved
     for n_aug in (0, 6):  # rejected at construction
         with pytest.raises(ConfigError, match="n_aug"):
             TechniqueConfig("random_token_deletion", {}, n_aug=n_aug)
