@@ -3,16 +3,19 @@ and typed directed relations between mentions, plus a canonical JSON
 serialization and an invariant checker.
 
 All types are immutable values; augmenters and evaluators share them
-freely. Token indices are the only addressing scheme: mentions carry
-inclusive [start, end] token spans and never BIO tags (BIO is an internal
-encoding of the baseline tagger only).
+freely, and a parse shares one object per distinct token, mention and
+relation. A parse pauses the cyclic garbage collector, which would only
+rescan the acyclic tree being built. Token indices are the only addressing
+scheme: mentions carry inclusive [start, end] token spans and never BIO
+tags (BIO is an internal encoding of the baseline tagger only).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import accumulate, chain
 from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -271,56 +274,65 @@ def _list(obj: dict, field: str, path: str) -> list:
     return value
 
 
-def _records(obj: dict, field: str, path: str, **fields: type) -> list[tuple]:
-    """The field values of each JSON object in the list obj[field]. Types
-    are compared exactly (json.loads makes no subclasses; a bool is no int),
-    and a path is formatted only for the error: the first failing field in
-    reading order, or a KeyError for a missing one."""
-    items = _list(obj, field, path)
+# A document's record lists in reading order: class, fields and JSON types.
+_RECORDS = (
+    ("tokens", Token, {"text": str, "sentence": int}),
+    ("mentions", Mention, {"id": str, "type": str, "start": int, "end": int}),
+    ("relations", Relation, {"id": str, "type": str, "head": str, "tail": str}),
+)
+
+
+class _Shared(dict):
+    """One record per distinct field tuple, for one parse."""
+
+    def __init__(self, kind: type):
+        self.kind = kind
+
+    def __missing__(self, key: tuple):
+        value = self[key] = self.kind(*key)
+        return value
+
+
+def _documents(docs: list) -> tuple[Document, ...]:
+    """Read the documents column by column: one itemgetter pass per
+    document field, then one per record list over the whole corpus, and one
+    type check per column. Types are compared exactly (json.loads makes no
+    subclasses; a bool is no int). Only if a field is missing or mistyped
+    does a walk in reading order raise the first fault's error."""
     try:
-        rows = list(map(itemgetter(*fields), items))
+        ids = list(map(itemgetter("id"), docs))
+        lists = [list(map(itemgetter(name), docs)) for name, _, _ in _RECORDS]
+        if set(map(type, ids)) <= {str} and all(set(map(type, col)) <= {list} for col in lists):
+            by_document = []
+            for (_, kind, fields), col in zip(_RECORDS, lists):
+                rows = list(map(itemgetter(*fields), chain.from_iterable(col)))
+                if not all(set(map(type, c)) == {t} for c, t in zip(zip(*rows), fields.values())):
+                    break
+                records = tuple(map(_Shared(kind).__getitem__, rows))
+                ends = list(accumulate(map(len, col)))
+                by_document.append(map(records.__getitem__, map(slice, [0, *ends], ends)))
+            else:
+                return tuple(map(Document, ids, *by_document))
     except (KeyError, TypeError):  # TypeError: an item is not a dict
-        rows = None
-    if rows is not None and all(
-        set(map(type, col)) == {kind} for col, kind in zip(zip(*rows), fields.values())
-    ):
-        return rows
-    for i, item in enumerate(items):
-        where = f"{path}.{field}[{i}]"
-        if type(item) is not dict:
-            raise _wrong(item, dict, where)
-        for name, kind in fields.items():
-            if type(item[name]) is not kind:
-                raise _wrong(item[name], kind, f"{where}.{name}")
-    raise AssertionError("unreachable: the fast path failed on a valid list")
-
-
-class _SharedTokens(dict):
-    """One Token per distinct (text, sentence), for one parse."""
-
-    def __missing__(self, key: tuple[str, int]) -> Token:
-        token = self[key] = Token(*key)
-        return token
-
-
-def _parse_document(obj, path: str, shared: _SharedTokens) -> Document:
-    if type(obj) is not dict:
-        raise _wrong(obj, dict, path)
-    try:
-        doc_id = obj["id"]
-        if type(doc_id) is not str:
-            raise _wrong(doc_id, str, f"{path}.id")
-        tokens = _records(obj, "tokens", path, text=str, sentence=int)
-        mentions = _records(obj, "mentions", path, id=str, type=str, start=int, end=int)
-        relations = _records(obj, "relations", path, id=str, type=str, head=str, tail=str)
-    except KeyError as e:
-        raise CorpusParseError(f"{path}: missing field {e.args[0]!r}") from None
-    return Document(
-        doc_id,
-        tuple(map(shared.__getitem__, tokens)),
-        tuple(starmap(Mention, mentions)),
-        tuple(starmap(Relation, relations)),
-    )
+        pass
+    for i, doc in enumerate(docs):
+        path = f"$.documents[{i}]"
+        if type(doc) is not dict:
+            raise _wrong(doc, dict, path)
+        try:
+            if type(doc["id"]) is not str:
+                raise _wrong(doc["id"], str, f"{path}.id")
+            for field, _, fields in _RECORDS:
+                for j, item in enumerate(_list(doc, field, path)):
+                    where = f"{path}.{field}[{j}]"
+                    if type(item) is not dict:
+                        raise _wrong(item, dict, where)
+                    for name, kind in fields.items():
+                        if type(item[name]) is not kind:
+                            raise _wrong(item[name], kind, f"{where}.{name}")
+        except KeyError as e:
+            raise CorpusParseError(f"{path}: missing field {e.args[0]!r}") from None
+    raise AssertionError("unreachable: the column read failed on well-formed documents")
 
 
 def _strings(obj: dict, field: str) -> tuple[str, ...]:
@@ -334,33 +346,43 @@ def _strings(obj: dict, field: str) -> tuple[str, ...]:
 def parse_corpus(raw: bytes | str) -> Corpus:
     """Parse and validate the corpus file format.
 
-    Raises CorpusParseError with line/position info on malformed syntax and
-    CorpusValidationError naming the document and rule on invariant failure.
-    Equal tokens of one parse are one shared Token object.
+    Raises CorpusParseError giving the byte offset of input that is not
+    UTF-8, the line and column of malformed JSON, or the path of the first
+    missing or mistyped field, and CorpusValidationError naming the
+    document and rule of each broken invariant. Equal tokens, mentions and
+    relations of one parse are one shared object each. The cyclic garbage
+    collector is paused during the parse, then left as the caller had it:
+    the parse builds only acyclic values, so each collection it would
+    trigger rescans the growing tree and frees nothing.
     """
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise CorpusParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
-    if type(obj) is not dict:
-        raise _wrong(obj, dict, "$")
-    shared = _SharedTokens()
-    try:
-        mention_types = _strings(obj, "mention_types")
-        relation_types = _strings(obj, "relation_types")
-        documents = tuple(
-            _parse_document(docobj, f"$.documents[{i}]", shared)
-            for i, docobj in enumerate(_list(obj, "documents", "$"))
-        )
-    except KeyError as e:
-        raise CorpusParseError(f"$: missing field {e.args[0]!r}") from None
-    corpus = Corpus(documents, mention_types, relation_types)
-    violations = validate_corpus(corpus)
-    if violations:
-        raise CorpusValidationError(violations)
-    return corpus
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CorpusParseError(f"byte {e.start}: not UTF-8 ({e.reason})") from None
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as e:
+            raise CorpusParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+        if type(obj) is not dict:
+            raise _wrong(obj, dict, "$")
+        try:
+            mention_types = _strings(obj, "mention_types")
+            relation_types = _strings(obj, "relation_types")
+            docs = _list(obj, "documents", "$")
+        except KeyError as e:
+            raise CorpusParseError(f"$: missing field {e.args[0]!r}") from None
+        corpus = Corpus(_documents(docs), mention_types, relation_types)
+        violations = validate_corpus(corpus)
+        if violations:
+            raise CorpusValidationError(violations)
+        return corpus
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), sort_keys=True).encode

@@ -107,8 +107,12 @@ def match_case(replacement: str, original: str) -> str:
 
 
 def _read_lines(path: Path) -> list[tuple[int, str]]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise LexiconError(f"{path.name}: byte {e.start}: not UTF-8 ({e.reason})") from None
     out = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue

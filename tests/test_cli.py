@@ -330,6 +330,20 @@ def test_invalid_corpus_fails_without_partial_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_corpus_that_is_not_utf8_is_a_runtime_failure(tmp_path, corpus_file, capsys):
+    raw = corpus_file.read_bytes()
+    offset = raw.index(b'"text":"') + len(b'"text":"')
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw[:offset] + b"\xff" + raw[offset + 1 :])
+    out = tmp_path / "x"
+    code = main(
+        ["analyze", "--corpus", str(bad), "--augmented", str(corpus_file), "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: byte {offset}: not UTF-8 (invalid start byte)\n"
+    assert not out.exists()
+
+
 def test_missing_corpus_file_is_usage_error(tmp_path, capsys):
     code = main(
         [
@@ -776,3 +790,21 @@ def test_malformed_lexicon_is_runtime_failure(tmp_path, corpus_file, capsys):
     )
     assert code == 1
     assert "synonyms.tsv:1" in capsys.readouterr().err
+
+
+def test_a_lexicon_file_that_is_not_utf8_is_a_runtime_failure(tmp_path, corpus_file, capsys):
+    lexdir = tmp_path / "lex"
+    lexdir.mkdir()
+    (lexdir / "synonyms.tsv").write_bytes(b"a\tNOUN\tsyn\t\xff\n")
+    code = main(
+        [
+            "augment",
+            "--corpus", str(corpus_file),
+            "--technique", "random_token_swap",
+            "--lexicon", str(lexdir),
+            "--seed", "1",
+            "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: synonyms.tsv: byte 11: not UTF-8 (invalid start byte)\n"

@@ -1,4 +1,7 @@
+import gc
 import json
+from itertools import starmap
+from operator import itemgetter
 from random import Random
 
 import pytest
@@ -310,6 +313,48 @@ def test_unchanged_golden_corpus_parses():
     assert [d.id for d in corpus.documents] == ["d0", "d1"]
 
 
+def test_non_utf8_input_is_a_parse_error_at_its_byte_offset():
+    raw = mutated().encode().replace(b'"d0"', b'"d\xff"')
+    offset = raw.index(b"\xff")
+    with pytest.raises(CorpusParseError) as err:
+        parse_corpus(raw)
+    assert str(err.value) == f"byte {offset}: not UTF-8 (invalid start byte)"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        (mutated(), None),
+        (mutated((TOKENS + (1, "sentence"), True)), CorpusParseError),
+        (b'{"documents": [\xff]}', CorpusParseError),
+        (mutated((MENTIONS + (1, "end"), 5)), CorpusValidationError),
+    ],
+)
+def test_a_parse_leaves_the_collector_as_it_found_it(enabled, raw, error):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            parse_corpus(raw)
+        else:
+            with pytest.raises(error):
+                parse_corpus(raw)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_the_collector_is_paused_while_a_parse_runs(monkeypatch):
+    import spanaug.corpus as corpus_module
+
+    seen = []
+    monkeypatch.setattr(corpus_module, "validate_corpus", lambda c: seen.append(gc.isenabled()) or [])
+    assert gc.isenabled()
+    parse_corpus(mutated())
+    assert seen == [False] and gc.isenabled()
+
+
 def test_names_rebound_by_the_benchmark_tracer_exist(tmp_path, monkeypatch):
     """perfbench/tracing.py times corpus loading, validation and
     serialization by rebinding these names; a rename would drop those
@@ -330,3 +375,106 @@ def test_names_rebound_by_the_benchmark_tracer_exist(tmp_path, monkeypatch):
     path.write_text(mutated())
     loaded = cli.load_corpus(path)
     assert calls == [loaded]
+
+
+# The reference parser: the per-document parser that the column-wise
+# parse_corpus replaced, kept as it was.
+
+
+def _wrong(value, kind: type, path: str) -> CorpusParseError:
+    return CorpusParseError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
+
+
+def _list(obj: dict, field: str, path: str) -> list:
+    value = obj[field]
+    if type(value) is not list:
+        raise _wrong(value, list, f"{path}.{field}")
+    return value
+
+
+def _records(obj: dict, field: str, path: str, **fields: type) -> list[tuple]:
+    """The field values of each JSON object in the list obj[field]. Types
+    are compared exactly (json.loads makes no subclasses; a bool is no int),
+    and a path is formatted only for the error: the first failing field in
+    reading order, or a KeyError for a missing one."""
+    items = _list(obj, field, path)
+    try:
+        rows = list(map(itemgetter(*fields), items))
+    except (KeyError, TypeError):  # TypeError: an item is not a dict
+        rows = None
+    if rows is not None and all(
+        set(map(type, col)) == {kind} for col, kind in zip(zip(*rows), fields.values())
+    ):
+        return rows
+    for i, item in enumerate(items):
+        where = f"{path}.{field}[{i}]"
+        if type(item) is not dict:
+            raise _wrong(item, dict, where)
+        for name, kind in fields.items():
+            if type(item[name]) is not kind:
+                raise _wrong(item[name], kind, f"{where}.{name}")
+    raise AssertionError("unreachable: the fast path failed on a valid list")
+
+
+class _SharedTokens(dict):
+    """One Token per distinct (text, sentence), for one parse."""
+
+    def __missing__(self, key: tuple[str, int]) -> Token:
+        token = self[key] = Token(*key)
+        return token
+
+
+def _parse_document(obj, path: str, shared: _SharedTokens) -> Document:
+    if type(obj) is not dict:
+        raise _wrong(obj, dict, path)
+    try:
+        doc_id = obj["id"]
+        if type(doc_id) is not str:
+            raise _wrong(doc_id, str, f"{path}.id")
+        tokens = _records(obj, "tokens", path, text=str, sentence=int)
+        mentions = _records(obj, "mentions", path, id=str, type=str, start=int, end=int)
+        relations = _records(obj, "relations", path, id=str, type=str, head=str, tail=str)
+    except KeyError as e:
+        raise CorpusParseError(f"{path}: missing field {e.args[0]!r}") from None
+    return Document(
+        doc_id,
+        tuple(map(shared.__getitem__, tokens)),
+        tuple(starmap(Mention, mentions)),
+        tuple(starmap(Relation, relations)),
+    )
+
+
+def _strings(obj: dict, field: str) -> tuple[str, ...]:
+    items = _list(obj, field, "$")
+    for i, item in enumerate(items):
+        if type(item) is not str:
+            raise _wrong(item, str, f"$.{field}[{i}]")
+    return tuple(items)
+
+
+def reference_parse(raw: bytes | str) -> Corpus:
+    """parse_corpus as it was written first: one document at a time, each
+    record list read by _records, a fast path with a slow loop behind it."""
+    if isinstance(raw, bytes):
+        raw = raw.decode("utf-8")
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise CorpusParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    if type(obj) is not dict:
+        raise _wrong(obj, dict, "$")
+    shared = _SharedTokens()
+    try:
+        mention_types = _strings(obj, "mention_types")
+        relation_types = _strings(obj, "relation_types")
+        documents = tuple(
+            _parse_document(docobj, f"$.documents[{i}]", shared)
+            for i, docobj in enumerate(_list(obj, "documents", "$"))
+        )
+    except KeyError as e:
+        raise CorpusParseError(f"$: missing field {e.args[0]!r}") from None
+    corpus = Corpus(documents, mention_types, relation_types)
+    violations = validate_corpus(corpus)
+    if violations:
+        raise CorpusValidationError(violations)
+    return corpus

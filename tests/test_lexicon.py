@@ -54,6 +54,13 @@ def test_malformed_row_names_line(tmp_path):
     assert ":2" in str(err.value)
 
 
+def test_a_file_that_is_not_utf8_is_named_with_its_byte_offset(tmp_path):
+    (tmp_path / "fillers.txt").write_bytes(b"well\nyou kn\xffow\n")
+    with pytest.raises(LexiconError) as err:
+        load_lexicon(tmp_path)
+    assert str(err.value) == "fillers.txt: byte 11: not UTF-8 (invalid start byte)"
+
+
 def test_unknown_pos_tag_rejected(tmp_path):
     with pytest.raises(LexiconError):
         write_lexicon(tmp_path, synonyms="word\tXPOS\tsyn\tother\n")

@@ -15,7 +15,10 @@
 * Every technique's identity configuration reproduces its input byte for
   byte.
 * A corpus survives serialize_corpus then parse_corpus unchanged, and one
-  parse shares one Token per distinct (text, sentence).
+  parse shares one Token, Mention and Relation per distinct value.
+* With at most one fault (a field deleted, or a field, record or list
+  replaced by another JSON value), parse_corpus returns the corpus, or
+  raises the error text, of the per-document reference_parse.
 * serialize_corpus writes the bytes json.dumps writes for the corpus as a
   tree of dicts, and validate_document finds the violations, in the same
   order, that its first, token-by-token implementation finds.
@@ -47,6 +50,7 @@ from test_baselines import (
     reference_token_features,
     reference_train,
 )
+from test_corpus import reference_parse
 from test_edits import (
     reference_delete,
     reference_insert,
@@ -58,6 +62,8 @@ from test_edits import (
 from spanaug import baselines
 from spanaug.corpus import (
     Corpus,
+    CorpusParseError,
+    CorpusValidationError,
     Document,
     Mention,
     Relation,
@@ -348,14 +354,17 @@ def test_serialize_then_parse_round_trips(corpus):
 @PROPERTY
 @given(st.lists(documents(), max_size=4))
 def test_a_parse_shares_equal_tokens_and_two_parses_share_none(docs):
+    """Equal mentions and equal relations too: one object per distinct
+    value within a parse, none shared between two parses."""
     docs = [Document(f"doc-{i}", d.tokens, d.mentions, d.relations) for i, d in enumerate(docs)]
     corpus = Corpus(tuple(docs), MENTION_TYPES, RELATION_TYPES)
     data = serialize_corpus(corpus)
     first, second = parse_corpus(data), parse_corpus(data)
     assert first == corpus
-    tokens = [t for d in first.documents for t in d.tokens]
-    assert len({id(t) for t in tokens}) == len(set(tokens))
-    assert not {id(t) for t in tokens} & {id(t) for d in second.documents for t in d.tokens}
+    for field in ("tokens", "mentions", "relations"):
+        values = [v for d in first.documents for v in getattr(d, field)]
+        assert len({id(v) for v in values}) == len(set(values))
+        assert not {id(v) for v in values} & {id(v) for d in second.documents for v in getattr(d, field)}
 
 
 def corpus_to_obj(c: Corpus) -> dict:
@@ -422,6 +431,47 @@ def test_serialize_writes_a_bool_in_an_int_field_as_json_does():
     data = serialize_corpus(corpus)
     assert data == reference_bytes(corpus)
     assert b'"sentence":true' in data and b'"start":false' in data
+
+
+# JSON values that replace a field, a record or a list: every JSON type,
+# a bool where an int belongs, and a dict and a list that look like records
+FAULT_VALUES = (True, False, 0, 2, -1, 1.5, "", "x", None, [], ["x"], {}, {"id": "m0"})
+
+
+def json_sites(node):
+    """(container, key) of every dict field and list item in a JSON tree."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from json_sites(node[key])
+
+
+@st.composite
+def faulty_corpus_files(draw):
+    """A valid corpus file with one fault: a field deleted, or a field,
+    record or list replaced by one of FAULT_VALUES (which may leave it
+    valid)."""
+    obj = corpus_to_obj(draw(corpora()))
+    node, key = draw(st.sampled_from(list(json_sites(obj))))
+    if isinstance(node, dict) and draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(st.sampled_from(FAULT_VALUES))
+    return json.dumps(obj).encode()
+
+
+@settings(PROPERTY, max_examples=400)
+@given(faulty_corpus_files())
+def test_parse_corpus_reads_each_file_as_the_reference_parser_does(raw):
+    try:
+        expected = reference_parse(raw)
+    except (CorpusParseError, CorpusValidationError) as e:
+        with pytest.raises(type(e)) as err:
+            parse_corpus(raw)
+        assert str(err.value) == str(e)
+    else:
+        assert parse_corpus(raw) == expected
 
 
 def reference_validate_document(d: Document) -> list[Violation]:
