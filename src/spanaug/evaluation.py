@@ -24,7 +24,7 @@ from .corpus import Corpus, Mention, Relation
 from .lexicon import Lexicon, builtin_lexicon
 from .providers import ParaphraseProvider
 from .seeding import derive_rng, derive_seed
-from .techniques import TechniqueConfig, augment_corpus, origin_id
+from .techniques import TechniqueConfig, augment_corpus, origin_id, parent_id
 
 TASKS = ("md", "re")
 
@@ -170,9 +170,8 @@ def _run_arm(experiment: _Experiment, fold_index: int, augmented: bool) -> dict[
             provider=e.provider,
         )
         train_ids = {d.id for d in train_docs}
-        # a synthetic id is its direct parent's id plus "-augN"; the parent
-        # may itself be synthetic when the corpus is augment output
-        leaked = [s.id for s in synthetic if s.id.rpartition("-aug")[0] not in train_ids]
+        # the parent may itself be synthetic when the corpus is augment output
+        leaked = [s.id for s in synthetic if parent_id(s.id) not in train_ids]
         if leaked:
             raise RuntimeError(f"synthetic documents not derived from the training fold: {leaked}")
         train_docs += synthetic

@@ -6,7 +6,7 @@ Resources load from plain UTF-8 files in a directory:
 * ``synonyms.tsv``   rows ``surface<TAB>POS<TAB>relation<TAB>target`` where
   relation is ``syn``, ``ant``, or ``pos`` (POS declaration only; target
   ignored and may be ``-``).
-* ``abbreviations.tsv``  rows ``short<TAB>long``.
+* ``abbreviations.tsv``  rows ``short<TAB>long``, the short form one token.
 * ``fillers.txt``    one phrase per line.
 * ``stopwords.txt``  one token per line.
 
@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .corpus import is_token_text
 
 POS_TAGS = ("NOUN", "VERB", "ADJ", "ADV", "OTHER")
 
@@ -107,17 +109,30 @@ def match_case(replacement: str, original: str) -> str:
 
 
 def _read_lines(path: Path) -> list[tuple[int, str]]:
+    """(line number, line) of each line that is neither blank nor a
+    comment; a missing file has none."""
     try:
         text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return []
     except UnicodeDecodeError as e:
         raise LexiconError(f"{path.name}: byte {e.start}: not UTF-8 ({e.reason})") from None
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        out.append((lineno, line))
-    return out
+    return [
+        (lineno, line)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+
+
+def _rows(path: Path, fields: int):
+    """("FILE:LINE", stripped fields) of each row of a tab-separated file."""
+    name = path.name
+    for lineno, line in _read_lines(path):
+        parts = line.split("\t")
+        where = f"{name}:{lineno}"
+        if len(parts) != fields:
+            raise LexiconError(f"{where}: expected {fields} tab-separated fields, got {len(parts)}")
+        yield where, [p.strip() for p in parts]
 
 
 def load_lexicon(path) -> Lexicon:
@@ -131,69 +146,39 @@ def load_lexicon(path) -> Lexicon:
 
     entries: dict[tuple[str, str], dict[str, list[str]]] = {}
     pos_map: dict[str, str] = {}
-    syn_file = root / "synonyms.tsv"
-    if syn_file.exists():
-        for lineno, line in _read_lines(syn_file):
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise LexiconError(
-                    f"{syn_file.name}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
-                )
-            surface, tag, relation, target = (p.strip() for p in parts)
-            if tag not in POS_TAGS:
-                raise LexiconError(f"{syn_file.name}:{lineno}: unknown POS tag {tag!r}")
-            if relation not in ("syn", "ant", "pos"):
-                raise LexiconError(
-                    f"{syn_file.name}:{lineno}: relation must be syn, ant or pos, got {relation!r}"
-                )
-            key = surface.lower()
-            pos_map.setdefault(key, tag)
-            if relation == "pos":
-                entries.setdefault((key, tag), {"syn": [], "ant": []})
-                continue
-            if not target:
-                raise LexiconError(f"{syn_file.name}:{lineno}: empty target")
-            if relation == "syn" and target.lower() == key:
-                raise LexiconError(
-                    f"{syn_file.name}:{lineno}: {surface!r} listed as its own synonym"
-                )
-            bucket = entries.setdefault((key, tag), {"syn": [], "ant": []})
-            if target not in bucket[relation]:
-                bucket[relation].append(target)
+    for where, (surface, tag, relation, target) in _rows(root / "synonyms.tsv", 4):
+        if tag not in POS_TAGS:
+            raise LexiconError(f"{where}: unknown POS tag {tag!r}")
+        if relation not in ("syn", "ant", "pos"):
+            raise LexiconError(f"{where}: relation must be syn, ant or pos, got {relation!r}")
+        key = surface.lower()
+        pos_map.setdefault(key, tag)
+        bucket = entries.setdefault((key, tag), {"syn": [], "ant": []})
+        if relation == "pos":
+            continue
+        if not target:
+            raise LexiconError(f"{where}: empty target")
+        if relation == "syn" and target.lower() == key:
+            raise LexiconError(f"{where}: {surface!r} listed as its own synonym")
+        if target not in bucket[relation]:
+            bucket[relation].append(target)
 
     abbreviations: dict[str, str] = {}
     expansions: dict[str, str] = {}
-    abbr_file = root / "abbreviations.tsv"
-    if abbr_file.exists():
-        for lineno, line in _read_lines(abbr_file):
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise LexiconError(
-                    f"{abbr_file.name}:{lineno}: expected 2 tab-separated fields, got {len(parts)}"
-                )
-            short, long = (p.strip() for p in parts)
-            if not short or not long:
-                raise LexiconError(f"{abbr_file.name}:{lineno}: empty abbreviation field")
-            if short.lower() in abbreviations:
-                raise LexiconError(
-                    f"{abbr_file.name}:{lineno}: duplicate short form {short!r}"
-                )
-            if long.lower() in expansions:
-                raise LexiconError(
-                    f"{abbr_file.name}:{lineno}: duplicate long form {long!r}"
-                )
-            abbreviations[short.lower()] = long
-            expansions[long.lower()] = short
+    for where, (short, long) in _rows(root / "abbreviations.tsv", 2):
+        if not short or not long:
+            raise LexiconError(f"{where}: empty abbreviation field")
+        if not is_token_text(short):
+            raise LexiconError(f"{where}: short form {short!r} is not one token")
+        if short.lower() in abbreviations:
+            raise LexiconError(f"{where}: duplicate short form {short!r}")
+        if long.lower() in expansions:
+            raise LexiconError(f"{where}: duplicate long form {long!r}")
+        abbreviations[short.lower()] = long
+        expansions[long.lower()] = short
 
-    fillers: tuple[str, ...] = ()
-    fill_file = root / "fillers.txt"
-    if fill_file.exists():
-        fillers = tuple(line.strip() for _, line in _read_lines(fill_file))
-
-    stopwords: frozenset[str] = frozenset()
-    stop_file = root / "stopwords.txt"
-    if stop_file.exists():
-        stopwords = frozenset(line.strip().lower() for _, line in _read_lines(stop_file))
+    fillers = tuple(line.strip() for _, line in _read_lines(root / "fillers.txt"))
+    stopwords = frozenset(line.strip().lower() for _, line in _read_lines(root / "stopwords.txt"))
 
     frozen = {
         key: LexEntry(tuple(v["syn"]), tuple(v["ant"])) for key, v in entries.items()

@@ -107,9 +107,6 @@ class CatParam:
         return self.choices[rng.randrange(len(self.choices))]
 
 
-Param = FloatParam | IntParam | CatParam
-
-
 class ParamSpace(dict):
     """Named parameter dimensions with bounds/choices and defaults."""
 
@@ -784,15 +781,18 @@ def apply_technique(
     return doc, not had_candidates
 
 
+def parent_id(doc_id: str) -> str | None:
+    """The direct parent of a synthetic id ``<parent>-aug<N>``, None when
+    the id has no such suffix."""
+    head, sep, tail = doc_id.rpartition("-aug")
+    return head if sep and tail.isdigit() else None
+
+
 def origin_id(doc_id: str) -> str:
     """Provenance: the originating document id of a synthetic id."""
-    base = doc_id
-    while True:
-        head, sep, tail = base.rpartition("-aug")
-        if sep and tail.isdigit():
-            base = head
-        else:
-            return base
+    while (parent := parent_id(doc_id)) is not None:
+        doc_id = parent
+    return doc_id
 
 
 def augment_corpus(
@@ -808,14 +808,22 @@ def augment_corpus(
 
     Each (document, replica) gets its own rng derived from (seed, document
     id, technique, replica), so no replica's output depends on any other.
+    Replica k of a document is named with its id plus the next "-aug<N>"
+    that no source document holds (N counting from 1), so a synthetic id
+    is never a source id, and augment output can be augmented again.
     """
     documents = source.documents if isinstance(source, Corpus) else tuple(source)
     technique, _ = cfg.resolved
     ctx = make_context(documents, lexicon, provider)
+    taken = {d.id for d in documents}
     out = []
     for d in documents:
+        n = 0
         for k in range(cfg.n_aug):
+            n += 1
+            while (name := f"{d.id}-aug{n}") in taken:
+                n += 1
             rng = derive_rng(seed, d.id, technique.name, k)
             doc, _ = apply_technique(d, cfg, rng, ctx)
-            out.append(Document(f"{d.id}-aug{k + 1}", doc.tokens, doc.mentions, doc.relations))
+            out.append(Document(name, doc.tokens, doc.mentions, doc.relations))
     return out

@@ -148,9 +148,8 @@ def suggest(space: ParamSpace, history: Sequence[TrialRecord], rng: Random) -> d
             value = good_density.sample(rng)
             if isinstance(param, IntParam):
                 value = min(max(round(value), param.low), param.high)
-            at = float(value) if isinstance(param, (IntParam, FloatParam)) else value
             params[name] = value
-            score += math.log(good_density.pdf(at)) - math.log(bad_density.pdf(at))
+            score += math.log(good_density.pdf(value)) - math.log(bad_density.pdf(value))
         if score > best_score:
             best_score = score
             best_params = params
@@ -179,8 +178,8 @@ def optimize(
     (N_AUG). A trial in which cross_validate raises a ProviderError is
     recorded as failed; augmentation itself never does, since it keeps a
     document whose provider fails. Any other error propagates, since a
-    config drawn from the space is valid. So a bad task, k, epochs or
-    window fails the first trial before it trains.
+    config drawn from the space is valid. So a bad task, k, epochs,
+    window or workers fails the first trial before it trains.
 
     The unaugmented arm's cache key is (corpus, k, seed, epochs, window,
     tasks), none of which changes between trials, so it is computed once
@@ -193,8 +192,6 @@ def optimize(
     technique = resolve_technique(technique_id)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if lexicon is None:  # one lexicon, and one memo, for every trial
         lexicon = builtin_lexicon()
     rng = Random(derive_seed(seed, "tpe", technique.name, task))

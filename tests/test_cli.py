@@ -210,6 +210,21 @@ def test_evaluate_runs_on_augment_output(tmp_path, corpus_file):
         assert code == 0
 
 
+def test_augment_output_augmented_again_analyzes(tmp_path, corpus_file):
+    # augmented.json holds docN and docN-aug1..2, so the second augment
+    # names docN's replicas docN-aug3 and docN-aug4
+    argv = ["--technique", "random_token_swap", "--params", "s=1", "n_aug=2"]
+    first, second = tmp_path / "a1", tmp_path / "a2"
+    assert main(["augment", "--corpus", str(corpus_file), *argv, "--seed", "1", "--out", str(first)]) == 0
+    again = ["augment", "--corpus", str(first / "augmented.json"), *argv, "--seed", "2", "--out", str(second)]
+    assert main(again) == 0
+    ids = [d.id for d in load_corpus(second / "augmented.json").documents]
+    assert len(set(ids)) == len(ids)
+    assert {"doc0-aug3", "doc0-aug4", "doc0-aug1-aug1", "doc0-aug1-aug2"} <= set(ids)
+    analyze = ["analyze", "--corpus", str(first / "augmented.json"), "--augmented", str(second / "augmented.json")]
+    assert main([*analyze, "--out", str(tmp_path / "an")]) == 0
+
+
 def test_optimize_emits_trial_rows_and_best_config(tmp_path, corpus_file):
     out = tmp_path / "opt"
     code = main(
@@ -790,6 +805,26 @@ def test_malformed_lexicon_is_runtime_failure(tmp_path, corpus_file, capsys):
     )
     assert code == 1
     assert "synonyms.tsv:1" in capsys.readouterr().err
+
+
+def test_an_abbreviation_short_form_of_two_tokens_is_a_runtime_failure(tmp_path, corpus_file, capsys):
+    lexdir = tmp_path / "lex"
+    lexdir.mkdir()
+    (lexdir / "abbreviations.tsv").write_text("PO\tpurchase order\np o\tpurple orange\n")
+    code = main(
+        [
+            "augment",
+            "--corpus", str(corpus_file),
+            "--technique", "abbreviation_toggle",
+            "--params", "p=1.0",
+            "--lexicon", str(lexdir),
+            "--seed", "1",
+            "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: abbreviations.tsv:2: short form 'p o' is not one token\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_a_lexicon_file_that_is_not_utf8_is_a_runtime_failure(tmp_path, corpus_file, capsys):

@@ -76,6 +76,16 @@ def test_duplicate_abbreviation_long_form(tmp_path):
         write_lexicon(tmp_path, abbreviations="PO\tPurchase Order\nORD\tpurchase order\n")
 
 
+def test_abbreviation_short_form_must_be_one_token(tmp_path):
+    with pytest.raises(LexiconError) as err:
+        write_lexicon(tmp_path, abbreviations="# forms\np o\tpurple orange\n")
+    assert str(err.value) == "abbreviations.tsv:2: short form 'p o' is not one token"
+
+
+def test_missing_files_are_empty(tmp_path):
+    assert load_lexicon(tmp_path) == Lexicon()
+
+
 def test_coarse_pos_readback(tmp_path):
     lex = write_lexicon(tmp_path, synonyms="registered\tVERB\tpos\t-\n")
     assert lex.coarse_pos("registered") == "VERB"

@@ -89,7 +89,14 @@ from spanaug.edits import (
 from spanaug.evaluation import cross_validate
 from spanaug.lexicon import builtin_lexicon
 from spanaug.providers import identity_stub
-from spanaug.techniques import TECHNIQUES, TechniqueConfig, apply_technique, augment_corpus, make_context
+from spanaug.techniques import (
+    TECHNIQUES,
+    TechniqueConfig,
+    apply_technique,
+    augment_corpus,
+    make_context,
+    parent_id,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -616,6 +623,31 @@ def test_identity_configurations_reproduce_their_input(name, doc, seed):
     restored = tuple(Document(doc.id, d.tokens, d.mentions, d.relations) for d in synthetic)
     expected = Corpus((doc, doc), MENTION_TYPES, RELATION_TYPES)
     assert serialize_corpus(Corpus(restored, MENTION_TYPES, RELATION_TYPES)) == serialize_corpus(expected)
+
+
+# ids of augment output: a few bases, each with up to three "-aug" suffixes,
+# most of them "-aug<N>", some not a synthetic suffix at all
+SYNTHETIC_IDS = st.builds(
+    lambda base, suffixes: base + "".join(suffixes),
+    st.sampled_from(("doc-1", "doc-2", "x")),
+    st.lists(st.sampled_from(("-aug1", "-aug2", "-aug3", "-aug10", "-aug", "-augx")), max_size=3),
+)
+
+
+@PROPERTY
+@given(st.lists(SYNTHETIC_IDS, min_size=1, max_size=8, unique=True), st.integers(1, 5))
+def test_synthetic_ids_are_new_and_name_their_parent(ids, n_aug):
+    docs = [Document(i, (Token("it", 0),), (), ()) for i in ids]
+    cfg = TechniqueConfig("random_token_deletion", {"p": 0.0}, n_aug=n_aug)
+    synthetic = [d.id for d in augment_corpus(docs, cfg, 0)]
+    assert len(set(synthetic)) == len(synthetic) == n_aug * len(ids)
+    assert not set(synthetic) & set(ids)
+    for index, source in enumerate(ids):
+        replicas = synthetic[index * n_aug : (index + 1) * n_aug]
+        assert [parent_id(r) for r in replicas] == [source] * n_aug
+        # the first n_aug suffixes no source id holds, in order
+        free = (f"{source}-aug{n}" for n in range(1, n_aug + len(ids) + 1))
+        assert replicas == [r for r in free if r not in ids][:n_aug]
 
 
 @st.composite

@@ -292,8 +292,7 @@ def test_optimize_records_a_provider_error_in_a_child_lane(monkeypatch, corpus20
     assert [t.status for t in history] == ["failed", "complete", "complete"]
 
 
-def test_optimize_rejects_workers_below_one(monkeypatch, corpus20):
-    monkeypatch.setattr("spanaug.tpe.cross_validate", fake_cross_validate(lambda cfg: 0.5))
+def test_optimize_rejects_workers_below_one(corpus20):
     with pytest.raises(ValueError, match="workers must be >= 1"):
         optimize("random_token_deletion", corpus20, "md", n_trials=1, seed=0, workers=0)
 
