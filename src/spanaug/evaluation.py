@@ -203,15 +203,6 @@ def _run_arm(experiment: _Experiment, fold_index: int, augmented: bool) -> dict[
 # is missing or unsafe, and the platform's default method is kept.
 _START_METHOD = "fork" if sys.platform == "linux" else None
 
-# (experiment, job counter) of a child process, set once per child by the
-# pool's initializer; never set in the calling process.
-_child_lane: tuple | None = None
-
-
-def _init_child(experiment: _Experiment, counter) -> None:
-    global _child_lane
-    _child_lane = experiment, counter
-
 
 def _take(counter) -> int:
     """The position of the next untaken job, which is now taken."""
@@ -238,41 +229,73 @@ def _run_lane(experiment: _Experiment, jobs, counter, position: int):
     return done, None
 
 
-def _run_child_lane(jobs):
-    experiment, counter = _child_lane
+def _run_lane_in_child(experiment: _Experiment, jobs, counter, sender) -> None:
+    """A child process's lane: runs the next untaken job until none is
+    left and sends (done, failure), as _run_lane returns them, through
+    its end of a one-way pipe."""
+    import pickle  # multiprocessing has loaded it; a serial run never does
+
     done, failure = _run_lane(experiment, jobs, counter, _take(counter))
     if failure is not None:
-        error = failure[1]
+        position, error = failure
         # a traceback is not pickled; its text crosses as a note, which
         # Python 3.11 and later print with the error
         trace = "".join(traceback.format_exception(error))
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:  # an error that does not survive pickling crosses as text
+            error = RuntimeError(f"{type(error).__name__}: {error}")
         error.__notes__ = [*getattr(error, "__notes__", ()), f"in a worker process:\n{trace}"]
-    return done, failure
+        failure = position, error
+    sender.send((done, failure))
 
 
 def _run_jobs(experiment: _Experiment, jobs, workers: int) -> list[dict[str, float]]:
     """Each job's result, in job order, from min(workers, len(jobs)) lanes:
     the calling process runs job 0, a child process runs each other lane,
     and each lane then takes the next untaken job until none is left. So
-    which process runs a job after job 0 depends on timing. The counter
-    and the pool come from one _START_METHOD context. Once a job fails no
-    lane takes another, and the error of the first failed job is raised,
-    as the one-lane loop would raise it (every earlier job was taken
-    before it and runs to its end), once every child has been joined."""
+    which process runs a job after job 0 depends on timing. The counter,
+    the children and their pipes come from one _START_METHOD context.
+
+    Each child is a plain process that sends its results back through a
+    one-way pipe; nothing here starts a thread, so none runs beside the
+    fork of a child. The calling process runs its own lane, receives from each child in lane order and joins every child
+    before it returns or raises. Once a job fails no lane takes another,
+    and the error of the first failed job is raised, as the one-lane loop
+    would raise it (every earlier job was taken before it and runs to its
+    end). A child that exits without sending is one RuntimeError naming
+    its exit code."""
     lanes = min(workers, len(jobs))
     if lanes <= 1:
         return [_run_arm(experiment, *job) for job in jobs]
 
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context(_START_METHOD)
     counter = context.Value("i", 1)  # job 0 is the calling process's
-    with ProcessPoolExecutor(
-        lanes - 1, mp_context=context, initializer=_init_child, initargs=(experiment, counter)
-    ) as pool:
-        children = [pool.submit(_run_child_lane, jobs) for _ in range(1, lanes)]
-        outcomes = [_run_lane(experiment, jobs, counter, 0)] + [c.result() for c in children]
+    children = []
+    try:
+        for _ in range(1, lanes):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_run_lane_in_child, args=(experiment, jobs, counter, sender))
+            child.start()
+            # the child now holds the only sending end, so a later child
+            # does not inherit it when forked, and the end closes with it
+            sender.close()
+            children.append((child, receiver))
+        outcomes = [_run_lane(experiment, jobs, counter, 0)]
+        for child, receiver in children:
+            try:
+                outcomes.append(receiver.recv())
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"a worker process exited with code {child.exitcode} before it sent its results"
+                ) from None
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
     results: list = [None] * len(jobs)
     failures = []
     for done, failure in outcomes:
@@ -308,9 +331,11 @@ def cross_validate(
 
     The arms run in min(workers, arms) lanes, the calling process running
     the first arm and each lane then taking the next untaken one (see
-    _run_jobs); the report is the same at any worker count. Calls
-    that share a baseline_cache train the plain arm once per corpus and
-    settings.
+    _run_jobs); the report is the same at any worker count. Each other
+    lane is a plain child process, started beside no thread of the lanes'
+    own, that sends its results back through a one-way pipe; a child that
+    exits without sending them raises one RuntimeError. Calls that share
+    a baseline_cache train the plain arm once per corpus and settings.
     """
     for task in tasks:
         if task not in TASKS:

@@ -4,9 +4,11 @@ coarse POS tags, abbreviation expansions, filler phrases, and stop words.
 Resources load from plain UTF-8 files in a directory:
 
 * ``synonyms.tsv``   rows ``surface<TAB>POS<TAB>relation<TAB>target`` where
-  relation is ``syn``, ``ant``, or ``pos`` (POS declaration only; target
-  ignored and may be ``-``).
+  the surface is one token and relation is ``syn``, ``ant``, or ``pos``
+  (POS declaration only; target ignored and may be ``-``).
 * ``abbreviations.tsv``  rows ``short<TAB>long``, the short form one token.
+  Every short form expands; only a long form of two or more words
+  contracts, so a one-word long form is never replaced by its short form.
 * ``fillers.txt``    one phrase per line.
 * ``stopwords.txt``  one token per line.
 
@@ -147,6 +149,8 @@ def load_lexicon(path) -> Lexicon:
     entries: dict[tuple[str, str], dict[str, list[str]]] = {}
     pos_map: dict[str, str] = {}
     for where, (surface, tag, relation, target) in _rows(root / "synonyms.tsv", 4):
+        if not is_token_text(surface):  # every lookup keys on one token's text
+            raise LexiconError(f"{where}: surface {surface!r} is not one token")
         if tag not in POS_TAGS:
             raise LexiconError(f"{where}: unknown POS tag {tag!r}")
         if relation not in ("syn", "ant", "pos"):
@@ -178,12 +182,17 @@ def load_lexicon(path) -> Lexicon:
         expansions[long.lower()] = short
 
     fillers = tuple(line.strip() for _, line in _read_lines(root / "fillers.txt"))
-    stopwords = frozenset(line.strip().lower() for _, line in _read_lines(root / "stopwords.txt"))
+    stopwords = set()
+    for lineno, line in _read_lines(root / "stopwords.txt"):
+        word = line.strip()
+        if not is_token_text(word):
+            raise LexiconError(f"stopwords.txt:{lineno}: stop word {word!r} is not one token")
+        stopwords.add(word.lower())
 
     frozen = {
         key: LexEntry(tuple(v["syn"]), tuple(v["ant"])) for key, v in entries.items()
     }
-    return Lexicon(frozen, abbreviations, expansions, fillers, stopwords, pos_map)
+    return Lexicon(frozen, abbreviations, expansions, fillers, frozenset(stopwords), pos_map)
 
 
 def builtin_lexicon() -> Lexicon:

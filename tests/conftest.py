@@ -1,3 +1,4 @@
+import os
 import socketserver
 import sys
 import threading
@@ -11,6 +12,36 @@ from corpora import d1_document, fixture_corpus  # noqa: E402
 
 from spanaug.corpus import Corpus  # noqa: E402
 from spanaug.lexicon import builtin_lexicon  # noqa: E402
+
+
+# A child forked while another thread runs can inherit a lock that thread
+# holds, and Python 3.12 and later warn of it. No test may fork so, on any
+# Python version: such a fork fails the test phase it happens in. (A
+# warnings filter of "error" cannot do this: the interpreter drops the
+# exception that the filter raises inside fork, and the warning is lost.)
+_forks_beside_a_thread: list[str] = []
+
+
+def _note_a_fork_beside_a_thread():
+    try:  # every thread of the process, as the warning counts them on Linux
+        threads = len(os.listdir("/proc/self/task"))
+    except FileNotFoundError:
+        threads = threading.active_count()
+    if threads > 1:
+        names = ", ".join(t.name for t in threading.enumerate())
+        _forks_beside_a_thread.append(f"{threads} threads (Python threads: {names})")
+
+
+os.register_at_fork(before=_note_a_fork_beside_a_thread)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    report = (yield).get_result()
+    if _forks_beside_a_thread:
+        report.outcome = "failed"
+        report.longrepr = "forked while these threads ran: " + "; ".join(_forks_beside_a_thread)
+        _forks_beside_a_thread.clear()
 
 
 @pytest.fixture

@@ -827,6 +827,25 @@ def test_an_abbreviation_short_form_of_two_tokens_is_a_runtime_failure(tmp_path,
     assert not (tmp_path / "x").exists()
 
 
+def test_a_synonym_surface_of_two_tokens_is_a_runtime_failure(tmp_path, corpus_file, capsys):
+    lexdir = tmp_path / "lex"
+    lexdir.mkdir()
+    (lexdir / "synonyms.tsv").write_text("look at\tVERB\tsyn\tinspect\n")
+    code = main(
+        [
+            "augment",
+            "--corpus", str(corpus_file),
+            "--technique", "lexicon_substitution",
+            "--lexicon", str(lexdir),
+            "--seed", "1",
+            "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: synonyms.tsv:1: surface 'look at' is not one token\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_a_lexicon_file_that_is_not_utf8_is_a_runtime_failure(tmp_path, corpus_file, capsys):
     lexdir = tmp_path / "lex"
     lexdir.mkdir()

@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
@@ -10,8 +9,8 @@ import pytest
 
 from corpora import fixture_corpus, kuhn_matching_score
 
-from spanaug import evaluation
-from spanaug.corpus import Mention, Relation
+from spanaug import cli, evaluation
+from spanaug.corpus import Mention, Relation, save_corpus
 from spanaug.evaluation import (
     GainReport,
     Score,
@@ -413,35 +412,125 @@ def test_an_error_from_a_child_lane_keeps_its_traceback(monkeypatch, corpus20, t
     assert note.startswith("in a worker process:")
     assert "_run_arm" in note
 
-def test_reports_are_equal_at_any_worker_count(monkeypatch):
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            made.append(max_workers)
-            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+class TwoPartError(Exception):
+    """Pickles by its message alone, so it cannot be unpickled."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+def test_an_error_that_cannot_be_unpickled_crosses_as_text(monkeypatch, corpus20, tmp_path):
+    """As above, but the child's error cannot be rebuilt from its pickle:
+    a RuntimeError carrying its type, message and traceback is raised."""
+    parent = os.getpid()
+    raised = tmp_path / "raised"
+
+    def fails_only_in_a_child(train_docs, technique, seed, **kw):
+        if os.getpid() != parent:
+            raised.touch()
+            raise TwoPartError("fold", "child")
+        deadline = time.monotonic() + 30
+        while not raised.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return []
+
+    monkeypatch.setattr("spanaug.evaluation.augment_corpus", fails_only_in_a_child)
+    cfg = TechniqueConfig("random_token_swap", {"s": 2})
+    with pytest.raises(RuntimeError) as caught:
+        cross_validate(corpus20, 2, cfg, 0, tasks=("md",), epochs=1, workers=2)
+    assert multiprocessing.active_children() == []
+    assert str(caught.value) == "TwoPartError: fold and child"
+    (note,) = caught.value.__notes__
+    assert note.startswith("in a worker process:")
+    assert "TwoPartError: fold and child" in note
+
+
+def test_reports_are_equal_at_any_worker_count(monkeypatch):
+    get_context = multiprocessing.get_context
+    start = multiprocessing.process.BaseProcess.start
+
+    def recording_context(method=None):
+        made.append(0)
+        return get_context(method)
+
+    def recording_start(process):
+        made[-1] += 1
+        start(process)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording_context)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
     corpus = fixture_corpus(6, seed=4)
     cfg = TechniqueConfig("random_token_insertion", {"n": 1})
-    # a pool per call with more than one lane: 6 arms, then 3 once the
-    # plain arms are cached; the calling process runs one lane itself
-    pool_sizes = {1: [], 2: [1, 1], 8: [5, 2]}
+    # child processes per call with more than one lane: 6 arms, then 3
+    # once the plain arms are cached; the calling process runs one lane
+    children_started = {1: [], 2: [1, 1], 8: [5, 2]}
     reports = {}
-    for workers, sizes in pool_sizes.items():
+    for workers, counts in children_started.items():
         made = []
         cache: dict = {}
         reports[workers] = [
             cross_validate(corpus, 3, cfg, 9, epochs=1, baseline_cache=cache, workers=workers)
             for _ in range(2)
         ]
-        assert made == sizes
+        assert made == counts
         assert multiprocessing.active_children() == []
     assert reports[1] == reports[2] == reports[8]
     assert set(reports[1][0].tasks) == {"md", "re"}
 
 
+def test_a_child_that_exits_without_sending_is_one_runtime_error(
+    monkeypatch, corpus20, tmp_path, capsys
+):
+    """The child takes fold 1's augmented arm and exits at once with code
+    7, while the calling process holds fold 0's arm until the child has
+    started. Both the library and the CLI report one error naming the
+    exit code, and no child is left."""
+    parent = os.getpid()
+    started = tmp_path / "started"
+
+    def exits_in_the_child(train_docs, technique, seed, **kw):
+        if os.getpid() != parent:
+            started.touch()
+            os._exit(7)
+        deadline = time.monotonic() + 30
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return []
+
+    monkeypatch.setattr("spanaug.evaluation.augment_corpus", exits_in_the_child)
+    cfg = TechniqueConfig("random_token_swap", {"s": 2})
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        cross_validate(corpus20, 2, cfg, 0, tasks=("md",), epochs=1, workers=2)
+    assert multiprocessing.active_children() == []
+
+    started.unlink()
+    corpus_file = tmp_path / "corpus.json"
+    save_corpus(corpus20, corpus_file)
+    code = cli.main(
+        [
+            "evaluate",
+            "--corpus", str(corpus_file),
+            "--technique", "random_token_swap",
+            "--task", "md",
+            "--folds", "2",
+            "--epochs", "1",
+            "--seed", "0",
+            "--workers", "2",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exited with code 7" in err
+    assert multiprocessing.active_children() == []
+
+
 def test_reports_are_equal_when_children_are_spawned(monkeypatch):
-    """Under spawn and forkserver the initializer's inputs, the job counter
-    among them, are pickled and children import the package afresh."""
+    """Under spawn and forkserver each child's arguments, the job counter
+    and the pipe's sending end among them, are pickled and children import
+    the package afresh."""
     corpus = fixture_corpus(6, seed=4)
     cfg = TechniqueConfig("lexicon_substitution", {"mode": "synonym", "p": 0.5})
     serial = cross_validate(corpus, 3, cfg, 9, tasks=("md",), epochs=1)

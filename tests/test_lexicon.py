@@ -82,6 +82,26 @@ def test_abbreviation_short_form_must_be_one_token(tmp_path):
     assert str(err.value) == "abbreviations.tsv:2: short form 'p o' is not one token"
 
 
+@pytest.mark.parametrize(
+    "files, message",
+    [
+        (
+            {"synonyms": "examined\tVERB\tsyn\tinspected\nlook at\tVERB\tsyn\tinspect\n"},
+            "synonyms.tsv:2: surface 'look at' is not one token",
+        ),
+        ({"synonyms": "\tNOUN\tsyn\tclaim\n"}, "synonyms.tsv:1: surface '' is not one token"),
+        ({"stopwords": "the\n# phrases\nas well\n"}, "stopwords.txt:3: stop word 'as well' is not one token"),
+    ],
+    ids=["synonym-surface", "empty-surface", "stop-word"],
+)
+def test_a_lookup_key_must_be_one_token(tmp_path, files, message):
+    """Every lookup keys on one token's text, so a row keyed on more can
+    never match."""
+    with pytest.raises(LexiconError) as err:
+        write_lexicon(tmp_path, **files)
+    assert str(err.value) == message
+
+
 def test_missing_files_are_empty(tmp_path):
     assert load_lexicon(tmp_path) == Lexicon()
 
